@@ -69,7 +69,7 @@ use bigraph::intersect::Kernel;
 use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
-use crate::asym::{run_asym, AsymStats, KPair};
+use crate::asym::KPair;
 use crate::biplex::Biplex;
 use crate::bruteforce::brute_force_mbps;
 use crate::enum_almost_sat::EnumKind;
@@ -79,7 +79,7 @@ use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{plock, Mutex};
-use crate::traversal::{traverse, Anchor, EmitMode, TraversalConfig};
+use crate::traversal::{traverse, traverse_budget, Anchor, EmitMode, TraversalConfig};
 
 /// Which enumeration algorithm the facade runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -237,12 +237,11 @@ impl std::str::FromStr for StopReason {
 /// Engine-specific counters of one run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineStats {
-    /// A sequential traversal run (also used by [`Algorithm::Large`]).
+    /// A sequential traversal run (also used by [`Algorithm::Large`] and
+    /// [`Algorithm::Asym`]).
     Sequential(TraversalStats),
     /// A parallel run (work-stealing or global-queue engine).
     Parallel(ParallelStats),
-    /// An asymmetric enumeration run.
-    Asym(AsymStats),
     /// The brute-force oracle (no counters beyond the report itself).
     Oracle,
 }
@@ -548,8 +547,8 @@ impl<'g> Enumerator<'g> {
     /// sequential engine, and at the parallel workers' steal/expand
     /// boundaries — so a budgeted run stops within one expansion even when
     /// the thresholds filter out every solution. Only applies to the
-    /// traversal-family algorithms' engines; the asym and brute-force
-    /// oracles check the budget at deliveries only.
+    /// traversal-family algorithms' engines (asym included); the
+    /// brute-force oracle checks the budget at deliveries only.
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.spec.time_budget = Some(budget);
         self
@@ -918,8 +917,8 @@ fn traversal_config(spec: &QuerySpec, deadline: Option<Instant>) -> TraversalCon
         Algorithm::ITraversal | Algorithm::Large => TraversalConfig::itraversal(spec.k),
         Algorithm::ITraversalNoExclusion => TraversalConfig::itraversal_no_exclusion(spec.k),
         Algorithm::LeftAnchoredOnly => TraversalConfig::itraversal_left_anchored_only(spec.k),
-        Algorithm::BTraversal => TraversalConfig::btraversal(spec.k),
-        Algorithm::Asym | Algorithm::BruteForce => unreachable!("not traversal algorithms"),
+        Algorithm::BTraversal | Algorithm::Asym => TraversalConfig::btraversal(spec.k),
+        Algorithm::BruteForce => unreachable!("not a traversal algorithm"),
     };
     let base = match spec.anchor {
         Some(anchor) => base.with_anchor(anchor),
@@ -976,18 +975,9 @@ fn execute(
     let (stats, reduced) = match (spec.algorithm, spec.engine) {
         (Algorithm::Asym, _) => {
             let kp = spec.k_pair.unwrap_or(KPair::symmetric(spec.k));
-            // The asymmetric engine has no in-search size pruning; the
-            // thresholds post-filter (still consulting the stopping rules
-            // for dropped solutions so budgets fire on schedule).
-            let mut filter = |b: &Biplex| {
-                if b.left.len() >= spec.theta_left && b.right.len() >= spec.theta_right {
-                    gate.offer(b)
-                } else {
-                    gate.check()
-                }
-            };
-            let stats = run_asym(g, kp, &mut filter);
-            (EngineStats::Asym(stats), None)
+            let mut sink_fn = |b: &Biplex| gate.offer(b);
+            let stats = traverse_budget(g, &traversal_config(spec, deadline), kp, &mut sink_fn);
+            (EngineStats::Sequential(stats), None)
         }
         (Algorithm::BruteForce, _) => {
             for b in brute_force_mbps(g, spec.k) {
@@ -1047,7 +1037,7 @@ fn execute(
         let engine_stopped = match &stats {
             EngineStats::Parallel(s) => s.stopped_early,
             EngineStats::Sequential(s) => s.stopped_early,
-            EngineStats::Asym(_) | EngineStats::Oracle => false,
+            EngineStats::Oracle => false,
         };
         if !engine_stopped {
             StopReason::Exhausted

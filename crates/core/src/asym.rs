@@ -10,18 +10,21 @@
 //! k-biplex of the rest of this crate.
 //!
 //! Because the asymmetric structure is still hereditary, the reverse-search
-//! framework applies verbatim. The enumeration below is a faithful
-//! generalisation of `bTraversal` (Algorithm 1): an arbitrary initial
-//! maximal solution, almost-satisfying graphs formed from *both* sides, the
-//! refined local enumeration of Section 4 generalised to two budgets, and a
-//! deterministic maximal extension. It is cross-validated against a
-//! brute-force oracle in the unit tests and in `tests/asymmetric.rs`.
+//! framework applies verbatim: `Algorithm::Asym` is the sequential engine
+//! of [`crate::traversal`] under the `bTraversal` rules (Algorithm 1) with a
+//! [`KPair`] budget. This module supplies the budget-specific pieces the
+//! shared three-step swaps in for an asymmetric budget: an arbitrary initial
+//! maximal solution ([`initial_asym`]), the refined local enumeration of
+//! Section 4 generalised to two budgets and a deterministic maximal
+//! extension ([`extend_to_maximal_asym`]). A symmetric budget runs the
+//! regular `EnumAlmostSat` and extension instead. The enumeration is
+//! cross-validated against a brute-force oracle in the unit tests and in
+//! `tests/asymmetric.rs`.
 
-use bigraph::{BipartiteGraph, Side};
+use bigraph::BipartiteGraph;
 use std::collections::HashSet;
 
 use crate::biplex::{left_misses, right_misses, Biplex, PartialBiplex};
-use crate::sink::{Control, SolutionSink};
 
 /// Per-side miss budgets `(k_L, k_R)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -160,106 +163,6 @@ pub fn initial_asym(g: &BipartiteGraph, kp: KPair) -> Biplex {
     partial.to_biplex()
 }
 
-/// Statistics of an asymmetric enumeration run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AsymStats {
-    /// Distinct maximal (k_L, k_R)-biplexes discovered.
-    pub solutions: u64,
-    /// Almost-satisfying graphs formed (Step 1 invocations).
-    pub almost_sat_graphs: u64,
-    /// Local solutions produced by the local enumeration.
-    pub local_solutions: u64,
-    /// Links of the underlying solution graph (extension results, including
-    /// duplicates).
-    pub links: u64,
-    /// `true` when the sink requested an early stop.
-    pub stopped_early: bool,
-}
-
-/// The asymmetric enumeration engine behind the
-/// [`crate::api::Enumerator`] facade. Enumerates all maximal
-/// (k_L, k_R)-biplexes of `g` with the `bTraversal` reverse-search
-/// framework (Algorithm 1) generalised to two budgets, delivering each
-/// exactly once to `sink`.
-pub(crate) fn run_asym<S: SolutionSink + ?Sized>(
-    g: &BipartiteGraph,
-    kp: KPair,
-    sink: &mut S,
-) -> AsymStats {
-    let mut stats = AsymStats::default();
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
-    let initial = initial_asym(g, kp);
-    seen.insert(initial.canonical_key());
-    stats.solutions = 1;
-    if sink.on_solution(&initial) == Control::Stop {
-        stats.stopped_early = true;
-        return stats;
-    }
-
-    let gt = g.transpose();
-    let mut stack: Vec<Biplex> = vec![initial];
-
-    while let Some(host) = stack.pop() {
-        let host_partial = PartialBiplex::from_sets(g, &host.left, &host.right);
-        // Candidates from both sides (0..|L| are left ids, the rest right).
-        let num_left = g.num_left() as u64;
-        let num_right = g.num_right() as u64;
-        for pos in 0..(num_left + num_right) {
-            if stats.stopped_early {
-                return stats;
-            }
-            let (side, id) = if pos < num_left {
-                (Side::Left, pos as u32)
-            } else {
-                (Side::Right, (pos - num_left) as u32)
-            };
-            match side {
-                Side::Left => {
-                    if host_partial.contains_left(id) {
-                        continue;
-                    }
-                }
-                Side::Right => {
-                    if host_partial.contains_right(id) {
-                        continue;
-                    }
-                }
-            }
-            stats.almost_sat_graphs += 1;
-
-            // The local enumeration is written for a left-side candidate;
-            // right-side candidates run on the transposed graph with the
-            // budgets swapped and the result flipped back.
-            let locals = match side {
-                Side::Left => local_solutions_asym(g, kp, &host_partial, id),
-                Side::Right => {
-                    local_solutions_asym(&gt, kp.transpose(), &host_partial.flipped(), id)
-                        .into_iter()
-                        .map(Biplex::transpose)
-                        .collect()
-                }
-            };
-
-            for local in locals {
-                stats.local_solutions += 1;
-                let mut partial = PartialBiplex::from_sets(g, &local.left, &local.right);
-                extend_to_maximal_asym(g, &mut partial, kp);
-                let solution = partial.to_biplex();
-                stats.links += 1;
-                if seen.insert(solution.canonical_key()) {
-                    stats.solutions += 1;
-                    if sink.on_solution(&solution) == Control::Stop {
-                        stats.stopped_early = true;
-                        return stats;
-                    }
-                    stack.push(solution);
-                }
-            }
-        }
-    }
-    stats
-}
-
 /// Enumerates the local solutions of the almost-satisfying graph
 /// `(L ∪ {v}, R)` where `host = (L, R)` is a (k_L, k_R)-biplex and `v ∉ L`:
 /// all (k_L, k_R)-biplexes of the almost-satisfying graph that contain `v`
@@ -276,7 +179,7 @@ pub(crate) fn run_asym<S: SolutionSink + ?Sized>(
 ///   `k_R` force the removal of left vertices; minimal removal sets of size
 ///   at most `|R''_over|` are enumerated from the vertices that miss at
 ///   least one over-budget right vertex (Section 4.3 with budget `k_R`).
-fn local_solutions_asym(
+pub(crate) fn local_solutions_asym(
     g: &BipartiteGraph,
     kp: KPair,
     host: &PartialBiplex,
@@ -466,10 +369,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Non-deprecated stand-in for `collect_asym_mbps`.
+    fn enumerate_asym<S: crate::sink::SolutionSink>(
+        g: &BipartiteGraph,
+        kp: KPair,
+        sink: &mut S,
+    ) -> crate::stats::TraversalStats {
+        let rules = crate::traversal::TraversalConfig::btraversal(kp.left);
+        crate::traversal::traverse_budget(g, &rules, kp, sink)
+    }
+
     fn collect_asym(g: &BipartiteGraph, kp: KPair) -> Vec<Biplex> {
         let mut sink = crate::sink::CollectSink::new();
-        run_asym(g, kp, &mut sink);
+        enumerate_asym(g, kp, &mut sink);
         sink.into_sorted()
     }
 
@@ -562,7 +473,7 @@ mod tests {
         let all = collect_asym(&g, kp);
         assert!(all.len() > 2);
         let mut sink = crate::sink::FirstN::new(2);
-        let stats = run_asym(&g, kp, &mut sink);
+        let stats = enumerate_asym(&g, kp, &mut sink);
         assert_eq!(sink.len(), 2);
         assert!(stats.stopped_early);
     }

@@ -17,7 +17,7 @@
 //! New vertices on the *right* side (needed by `bTraversal`, which forms
 //! almost-satisfying graphs from both sides) are handled by the caller via
 //! the transposed graph and [`PartialBiplex::flipped`]
-//! (see `traversal::Engine`).
+//! (see the crate-internal three-step, the only caller in library code).
 
 pub mod inflation;
 pub mod refined;
@@ -140,9 +140,9 @@ where
     }
 }
 
-/// Collects the local solutions into a vector (convenience for tests and
-/// small harness utilities).
-pub fn collect_local_solutions(
+/// Collects the local solutions into a vector (convenience for tests).
+#[cfg(test)]
+pub(crate) fn collect_local_solutions(
     g: &BipartiteGraph,
     k: usize,
     kind: EnumKind,

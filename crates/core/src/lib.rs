@@ -36,7 +36,9 @@
 //! * [`traversal`] — the reverse-search engine implementing both
 //!   `bTraversal` (Algorithm 1) and `iTraversal` (Algorithm 2) with the
 //!   left-anchored, right-shrinking and exclusion-strategy prunings as
-//!   individually toggleable options.
+//!   individually toggleable options. Its per-(host, candidate)
+//!   `iThreeStep` is a crate-internal routine that the parallel engines and
+//!   the asymmetric enumeration run too.
 //! * [`mod@enum_almost_sat`] — the `EnumAlmostSat` procedure (Section 4) in its
 //!   four refined variants plus the inflation-based baseline (Figure 12).
 //! * [`large`] — large-MBP enumeration with size thresholds (Section 5).
@@ -72,6 +74,7 @@ pub mod sink;
 pub mod stats;
 pub mod store;
 pub mod sync;
+mod three_step;
 pub mod traversal;
 pub mod wire;
 

@@ -13,14 +13,14 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::PoisonError;
 use std::time::Duration;
 
-use bigraph::BipartiteGraph;
-
 use crate::sync::{plock, thread, Condvar, Mutex};
 
 use super::seen::fnv1a;
-use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats, WorkerCounters};
+use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats};
 use crate::biplex::Biplex;
 use crate::initial::initial_left_anchored;
+use crate::stats::TraversalStats;
+use crate::three_step::ThreeStep;
 
 /// Number of independently locked shards of the seen-set.
 const SHARDS: usize = 64;
@@ -113,10 +113,11 @@ impl Shared {
 /// Runs the global-queue enumeration. Called through [`super::par_run`]
 /// with [`ParallelEngine::GlobalQueue`](super::ParallelEngine::GlobalQueue).
 pub(super) fn run(
-    g: &BipartiteGraph,
+    step: &ThreeStep<'_>,
     config: &ParallelConfig,
     rt: &ParRuntime<'_>,
 ) -> (Vec<Biplex>, ParallelStats) {
+    let g = step.g;
     let threads = config.resolved_threads().max(1);
     let shared = Shared::new();
     let mut stats = ParallelStats { threads, ..ParallelStats::default() };
@@ -134,10 +135,10 @@ pub(super) fn run(
 
     thread::scope(|scope| {
         let handles: Vec<_> =
-            (0..threads).map(|_| scope.spawn(|| worker(g, config, rt, &shared))).collect();
+            (0..threads).map(|_| scope.spawn(|| worker(step, config, rt, &shared))).collect();
         for handle in handles {
             match handle.join() {
-                Ok(counters) => counters.merge_into(&mut stats),
+                Ok(counters) => stats.absorb(&counters),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -150,17 +151,17 @@ pub(super) fn run(
 
 /// One worker: repeatedly pops a solution and expands it.
 fn worker(
-    g: &BipartiteGraph,
+    step: &ThreeStep<'_>,
     config: &ParallelConfig,
     rt: &ParRuntime<'_>,
     shared: &Shared,
-) -> WorkerCounters {
-    let mut counters = WorkerCounters::default();
+) -> TraversalStats {
+    let mut counters = TraversalStats::default();
     // Install the configured intersection kernel for this worker's whole
     // tenure (`--kernel` A/B override; workers start from `Kernel::Auto`).
     let _kernel = bigraph::intersect::set_thread_kernel(config.kernel);
     while let Some(host) = shared.pop_work(rt) {
-        let mut on_new = |solution: Biplex, report: bool, expandable: bool| {
+        let on_new = |solution: Biplex, report: bool, expandable: bool| {
             if report && !rt.deliver(&solution) {
                 plock(&shared.results).push(solution.clone());
             }
@@ -169,12 +170,11 @@ fn worker(
             }
         };
         expand_solution(
-            g,
-            config,
+            step,
             &host,
             &mut counters,
-            &|s: &Biplex| shared.insert(s),
-            &mut on_new,
+            |s: &Biplex| shared.insert(s),
+            on_new,
             rt.cancel,
         );
         shared.finish_work();

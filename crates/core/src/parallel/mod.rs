@@ -26,21 +26,23 @@
 //!   seen-set. Kept as the measured baseline of the scaling benchmarks
 //!   (`BENCH_parallel.json`).
 //!
-//! Both engines run the left-anchored + right-shrinking `iTraversal`
-//! configuration (those prunings' correctness arguments never reference the
-//! order in which solutions are expanded). The sequential engine's *full*
-//! exclusion strategy is inherently order-dependent — ℰ(H) inherits the
-//! completed sibling branches of every ancestor — and stays disabled; in
-//! its place the expansion procedure applies a **host-local exclusion
-//! approximation** ([`ParallelConfig::exclusion_local`], default on): while
-//! expanding one host H, every fully enumerated earlier candidate `w` of H
-//! joins a local excluded set, and later links out of the *same* expansion
-//! whose solution contains `w` are pruned. This is the same-host slice of
-//! ℰ(H), so it is position-determined (a function of H and the fixed
-//! ascending candidate order only, never of worker timing) and prunes a
-//! large share of the within-expansion duplicate links that the sequential
-//! engine dodges — the bulk of the sequential-vs-parallel per-thread gap
-//! recorded in EXPERIMENTS.md. Correctness (oracle-checked by the
+//! Both engines expand a solution with the same per-host loop
+//! (`expand_solution`): every left vertex outside the host, in ascending
+//! order, goes through the crate's one three-step — the routine the
+//! sequential engine runs too — under the left-anchored + right-shrinking
+//! `iTraversal` rules (those prunings' correctness arguments never reference
+//! the order in which solutions are expanded). The schedulers only supply
+//! the per-link callback, a claim in their concurrent seen-set. The
+//! sequential engine's *full* exclusion strategy is inherently
+//! order-dependent — ℰ(H) inherits the completed sibling branches of every
+//! ancestor — and stays disabled; in its place the loop hands the step a
+//! **host-local exclusion set**: while expanding one host H, every fully
+//! enumerated earlier candidate `w` of H joins it, and later links out of
+//! the *same* expansion whose solution contains `w` are pruned. This is the
+//! same-host slice of ℰ(H), so it is position-determined (a function of H
+//! and the fixed ascending candidate order only, never of worker timing)
+//! and prunes a large share of the within-expansion duplicate links that
+//! the sequential engine dodges. Correctness (oracle-checked by the
 //! `parallel` test battery and the engine cross-validation suite): if the
 //! link (H, v′) → S is pruned because `w ∈ S.left` for an earlier fully
 //! enumerated candidate `w < v′`, then (H, w) → S is itself a link of the
@@ -51,10 +53,11 @@
 //! even earlier candidate. Since the seen-set expands every claimed
 //! solution exactly once, every maximal k-biplex is still discovered,
 //! independent of scheduling. The *set* of solutions returned — and every
-//! per-run counter — therefore remains deterministic and identical to the
-//! sequential enumeration; the discovery order is not. The
-//! [`crate::api::Enumerator::collect`] terminal returns the canonically
-//! sorted set.
+//! per-run counter — therefore remains deterministic; the discovery order
+//! is not. `almost_sat_graphs` and `local_solutions` equal those of the
+//! sequential `iTraversal-ES`, which runs the same step over the same
+//! solutions. The [`crate::api::Enumerator::collect`] terminal returns the
+//! canonically sorted set.
 //!
 //! A [`VertexOrder`] relabeling pass can be applied up front (see
 //! [`bigraph::order`]): the engines then run on the relabeled graph and the
@@ -74,16 +77,19 @@ pub mod work_steal;
 
 use std::time::Instant;
 
-use bigraph::intersect::{intersects, Kernel};
+use bigraph::intersect::Kernel;
 use bigraph::order::{Relabeling, VertexOrder};
-use bigraph::BipartiteGraph;
+use bigraph::{BipartiteGraph, VertexRef};
 
-use crate::biplex::{sorted_intersection_len, Biplex, PartialBiplex};
-use crate::enum_almost_sat::{enum_almost_sat, EnumKind};
-use crate::extend::{extend_to_maximal, ExtendMode};
+use crate::asym::KPair;
+use crate::biplex::{Biplex, PartialBiplex};
+use crate::enum_almost_sat::EnumKind;
 use crate::sink::Control;
+use crate::stats::TraversalStats;
 use crate::sync::atomic::AtomicBool;
 use crate::sync::order;
+use crate::three_step::{Outcome, ThreeStep};
+use crate::traversal::TraversalConfig;
 
 /// Scheduler-independent runtime hooks of one parallel run, injected by the
 /// facade: an optional per-solution callback (streaming delivery instead of
@@ -210,12 +216,6 @@ pub struct ParallelConfig {
     /// ([`Kernel::Auto`] applies the measured crossover heuristic; the rest
     /// force one kernel for `--kernel` A/B runs).
     pub kernel: Kernel,
-    /// Host-local exclusion approximation (default on): prune duplicate
-    /// links within one expansion against the already-enumerated earlier
-    /// candidates of the same host. Timing-independent and oracle-checked —
-    /// see the module docs for the correctness argument; the knob exists
-    /// for A/B measurement and as a diagnostic escape hatch.
-    pub exclusion_local: bool,
 }
 
 impl ParallelConfig {
@@ -234,7 +234,6 @@ impl ParallelConfig {
             seen_segments: 0,
             steal_adaptive: true,
             kernel: Kernel::Auto,
-            exclusion_local: true,
         }
     }
 
@@ -289,13 +288,6 @@ impl ParallelConfig {
         self
     }
 
-    /// Toggles the host-local exclusion approximation. See
-    /// [`ParallelConfig::exclusion_local`].
-    pub fn with_exclusion_local(mut self, enabled: bool) -> Self {
-        self.exclusion_local = enabled;
-        self
-    }
-
     pub(crate) fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
@@ -326,155 +318,78 @@ pub struct ParallelStats {
     pub stopped_early: bool,
 }
 
-/// Per-worker tallies, merged into [`ParallelStats`] when the worker joins
-/// so the hot loop never touches shared atomics.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct WorkerCounters {
-    pub solutions: u64,
-    pub reported: u64,
-    pub almost_sat_graphs: u64,
-    pub local_solutions: u64,
-    pub links: u64,
-    pub steals: u64,
-}
-
-impl WorkerCounters {
-    pub(crate) fn merge_into(&self, stats: &mut ParallelStats) {
-        stats.solutions += self.solutions;
-        stats.reported += self.reported;
-        stats.almost_sat_graphs += self.almost_sat_graphs;
-        stats.local_solutions += self.local_solutions;
-        stats.links += self.links;
-        stats.steals += self.steals;
+impl ParallelStats {
+    /// Adds one worker's step counters, merged when the worker joins so the
+    /// hot loop never touches shared atomics.
+    pub(crate) fn absorb(&mut self, worker: &TraversalStats) {
+        self.solutions += worker.solutions;
+        self.reported += worker.reported;
+        self.almost_sat_graphs += worker.almost_sat_graphs;
+        self.local_solutions += worker.local_solutions;
+        self.links += worker.links;
     }
 }
 
-/// Expands one solution — the parallel `iThreeStep`: left-anchored candidate
-/// loop, local enumeration, right-shrinking filter, left-only extension,
-/// de-duplication. Shared by both engines; the scheduler-specific parts are
-/// injected:
+/// Expands one solution — the per-host candidate loop shared by both
+/// engines. Every left vertex outside `host` goes through the three-step
+/// with the host-local exclusion set (see the module docs); the
+/// scheduler-specific parts are injected:
 ///
-/// * `seen_insert` claims a solution in the concurrent seen-set, returning
+/// * `claim` inserts a solution into the concurrent seen-set, returning
 ///   `true` exactly once per distinct solution across all workers;
 /// * `on_new(solution, report, expandable)` is called for every solution
 ///   claimed by this worker — `report` says it passed the size thresholds,
 ///   `expandable` that its expansion is not pruned and it must be scheduled;
 /// * `cancel`, when set, is polled between candidate vertices and between
-///   local solutions so a cancelled run abandons the expansion mid-way.
+///   links so a cancelled run abandons the expansion mid-way.
 pub(crate) fn expand_solution(
-    g: &BipartiteGraph,
-    config: &ParallelConfig,
+    step: &ThreeStep<'_>,
     host: &Biplex,
-    counters: &mut WorkerCounters,
-    seen_insert: &dyn Fn(&Biplex) -> bool,
-    on_new: &mut dyn FnMut(Biplex, bool, bool),
+    stats: &mut TraversalStats,
+    claim: impl Fn(&Biplex) -> bool,
+    mut on_new: impl FnMut(Biplex, bool, bool),
     cancel: Option<&AtomicBool>,
 ) {
-    let k = config.k;
-    let host_partial = PartialBiplex::from_sets(g, &host.left, &host.right);
-
-    // Host-local exclusion (see the module docs): candidates of this host
-    // that have been fully enumerated, ascending because `v` is. Later
-    // links of the *same* expansion towards a solution containing one of
-    // them are duplicates of a link already considered, and are pruned.
+    // ordering: Relaxed — cancellation poll, liveness only; see DESIGN.md
+    // "cancel-flag".
+    let cancelled = || cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag")));
+    let rules = step.rules;
+    let host = PartialBiplex::from_sets(step.g, &host.left, &host.right);
+    // Candidates of this host that have been fully enumerated, ascending
+    // because `v` is. θ-pruned candidates never join: the completeness
+    // induction needs every link via a member to have been considered.
     let mut excluded: Vec<u32> = Vec::new();
-
-    for v in 0..g.num_left() {
-        // ordering: Relaxed — cancellation poll, liveness only; see
-        // DESIGN.md "cancel-flag".
-        if cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag"))) {
+    for v in 0..step.g.num_left() {
+        if cancelled() {
             return;
         }
-        if host_partial.contains_left(v) {
+        if host.contains_left(v) {
             continue;
         }
-        // Almost-satisfying-graph pruning for large-MBP runs (Section 5):
-        // every solution reached through v keeps v and, under
-        // right-shrinking, at most deg(v, R_H) + k right vertices.
-        if config.theta_right > 0 {
-            let deg_in_r = sorted_intersection_len(g.left_neighbors(v), host_partial.right());
-            if deg_in_r + k < config.theta_right {
-                continue;
+        let outcome = step.run(&host, VertexRef::left(v), &excluded, stats, |solution, stats| {
+            if cancelled() {
+                return Control::Stop;
             }
-        }
-        counters.almost_sat_graphs += 1;
-
-        enum_almost_sat(g, k, config.enum_kind, &host_partial, v, |local: Biplex| -> bool {
-            // ordering: Relaxed — cancellation poll, liveness only; see
-            // DESIGN.md "cancel-flag".
-            if cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag"))) {
-                return false;
+            if !claim(&solution) {
+                stats.duplicate_links += 1;
+                return Control::Continue;
             }
-            counters.local_solutions += 1;
-
-            // Host-local exclusion on the local solution: its extension
-            // keeps `local.left`, so a hit here prunes the link before the
-            // right-shrinking scan and the extension are paid for.
-            if intersects(&local.left, &excluded) {
-                return true;
-            }
-
-            // Local-solution pruning (Section 5): under right-shrinking the
-            // final right side equals the local one.
-            if config.theta_right > 0 && local.right.len() < config.theta_right {
-                return true;
-            }
-
-            let mut partial = PartialBiplex::from_sets(g, &local.left, &local.right);
-
-            // Right-shrinking traversal (Algorithm 2 line 7): discard the
-            // local solution if any right vertex of G outside it can be
-            // added while preserving the k-biplex property.
-            if exists_addable_right(g, &partial, k) {
-                return true;
-            }
-
-            extend_to_maximal(g, &mut partial, k, ExtendMode::LeftOnly);
-            let solution = partial.to_biplex();
-
-            // Host-local exclusion on the extended solution (the extension
-            // may pull in an excluded left vertex the local solution lacked).
-            if intersects(&solution.left, &excluded) {
-                return true;
-            }
-            counters.links += 1;
-
-            if seen_insert(&solution) {
-                counters.solutions += 1;
-                let report = solution.left.len() >= config.theta_left
-                    && solution.right.len() >= config.theta_right;
-                if report {
-                    counters.reported += 1;
-                }
-                // Solution pruning (Section 5): descendants cannot regain
-                // right-side size under right-shrinking.
-                let expandable =
-                    !(config.theta_right > 0 && solution.right.len() < config.theta_right);
-                on_new(solution, report, expandable);
-            }
-            true
+            stats.solutions += 1;
+            let report = solution.left.len() >= rules.theta_left
+                && solution.right.len() >= rules.theta_right;
+            stats.reported += u64::from(report);
+            // Solution pruning (Section 5): descendants cannot regain
+            // right-side size under right-shrinking.
+            let expandable = !(rules.theta_right > 0 && solution.right.len() < rules.theta_right);
+            on_new(solution, report, expandable);
+            Control::Continue
         });
-
-        // Only fully enumerated candidates may be excluded against — the
-        // completeness induction needs every link via `v` to have been
-        // considered. θ-pruned and skipped candidates never join, and a
-        // cancelled expansion stops using the set at the next poll.
-        if config.exclusion_local {
-            excluded.push(v);
+        match outcome {
+            Outcome::Enumerated => excluded.push(v),
+            Outcome::Pruned => {}
+            Outcome::Stopped => return,
         }
     }
-}
-
-/// The literal right-shrinking test of Algorithm 2 line 7: does a right
-/// vertex of `G` outside the local solution exist whose addition preserves
-/// the k-biplex property?
-fn exists_addable_right(g: &BipartiteGraph, partial: &PartialBiplex, k: usize) -> bool {
-    for u in 0..g.num_right() {
-        if !partial.contains_right(u) && partial.can_add_right(g, u, k) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Engine dispatch plus the relabeling pass behind the
@@ -500,9 +415,17 @@ pub(crate) fn par_run(
         let mapped = solutions.iter().map(|b| b.map_back(&relab)).collect();
         return (mapped, stats);
     }
+    // Every worker hands the three-step the `iTraversal-ES` rules
+    // (left-anchored and right-shrinking; host-local exclusion stands in
+    // for the full strategy) under this run's local enumeration and
+    // thresholds.
+    let rules = TraversalConfig::itraversal_no_exclusion(config.k)
+        .with_enum_kind(config.enum_kind)
+        .with_thresholds(config.theta_left, config.theta_right);
+    let step = ThreeStep { g, gt: None, rules: &rules, budget: KPair::symmetric(config.k) };
     match config.engine {
-        ParallelEngine::WorkSteal => work_steal::run(g, config, rt),
-        ParallelEngine::GlobalQueue => global_queue::run(g, config, rt),
+        ParallelEngine::WorkSteal => work_steal::run(&step, config, rt),
+        ParallelEngine::GlobalQueue => global_queue::run(&step, config, rt),
     }
 }
 
@@ -642,25 +565,17 @@ mod tests {
 
     #[test]
     fn host_local_exclusion_is_oracle_checked_against_sequential() {
-        // The approximation must change only the link counts, never the
+        // The exclusion must change only the link counts, never the
         // solution set — on either engine, at any thread count.
         for seed in 0..8u64 {
             let g = random_graph(7, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
                 for engine in ENGINES {
-                    for exclusion in [true, false] {
-                        let cfg = ParallelConfig::new(k)
-                            .with_threads(3)
-                            .with_engine(engine)
-                            .with_exclusion_local(exclusion);
-                        let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                        got.sort();
-                        assert_eq!(
-                            got, expected,
-                            "seed {seed} k {k} {engine:?} exclusion_local {exclusion}"
-                        );
-                    }
+                    let cfg = ParallelConfig::new(k).with_threads(3).with_engine(engine);
+                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                    got.sort();
+                    assert_eq!(got, expected, "seed {seed} k {k} {engine:?}");
                 }
             }
         }
@@ -669,24 +584,29 @@ mod tests {
     #[test]
     fn host_local_exclusion_prunes_duplicate_links() {
         // On a dense graph the within-expansion duplicate links are
-        // plentiful; the approximation must strictly reduce them while
-        // keeping the solution count identical.
+        // plentiful. Sequential iTraversal-ES runs the same step over the
+        // same solutions without any exclusion, so the host-local set must
+        // strictly reduce the links while keeping the solution set.
         let g = random_graph(8, 8, 0.7, 5);
-        let run = |exclusion: bool| {
-            let cfg = ParallelConfig::new(1).with_threads(2).with_exclusion_local(exclusion);
-            par_enumerate_mbps(&g, &cfg)
+        let cfg = ParallelConfig::new(1).with_threads(2);
+        let (mut parallel, stats) = par_enumerate_mbps(&g, &cfg);
+        parallel.sort();
+        let mut sink = crate::sink::CollectSink::new();
+        let report = crate::api::Enumerator::new(&g)
+            .k(1)
+            .algorithm(crate::api::Algorithm::ITraversalNoExclusion)
+            .run(&mut sink)
+            .unwrap();
+        let crate::api::EngineStats::Sequential(sequential) = report.stats else {
+            panic!("sequential runs report sequential stats")
         };
-        let (mut with, stats_with) = run(true);
-        let (mut without, stats_without) = run(false);
-        with.sort();
-        without.sort();
-        assert_eq!(with, without);
-        assert_eq!(stats_with.solutions, stats_without.solutions);
+        assert_eq!(parallel, sink.into_sorted());
+        assert_eq!(stats.solutions, sequential.solutions);
         assert!(
-            stats_with.links < stats_without.links,
+            stats.links < sequential.links,
             "exclusion pruned nothing: {} vs {}",
-            stats_with.links,
-            stats_without.links
+            stats.links,
+            sequential.links
         );
     }
 

@@ -28,15 +28,15 @@
 use std::collections::VecDeque;
 use std::sync::PoisonError;
 
-use bigraph::BipartiteGraph;
-
 use crate::sync::atomic::AtomicUsize;
 use crate::sync::{hint, order, plock, thread, Mutex};
 
 use super::seen::{ConcurrentSeenSet, SEGMENT_BUCKETS};
-use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats, WorkerCounters};
+use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats};
 use crate::biplex::Biplex;
 use crate::initial::initial_left_anchored;
+use crate::stats::TraversalStats;
+use crate::three_step::ThreeStep;
 
 /// Victim-deque depth at or below which an adaptive steal takes one item
 /// instead of half.
@@ -47,10 +47,11 @@ pub const STEAL_SHALLOW: usize = 4;
 /// boundary and inside expansions, so a stop request is honoured within one
 /// expansion instead of running the search to completion.
 pub(super) fn run(
-    g: &BipartiteGraph,
+    step: &ThreeStep<'_>,
     config: &ParallelConfig,
     rt: &ParRuntime<'_>,
 ) -> (Vec<Biplex>, ParallelStats) {
+    let g = step.g;
     let threads = config.resolved_threads().max(1);
     let deques: Vec<Mutex<VecDeque<Biplex>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -84,12 +85,15 @@ pub(super) fn run(
                 let seen = &seen;
                 let pending = &pending;
                 let results = &results;
-                scope.spawn(move || worker(w, g, config, rt, deques, seen, pending, results))
+                scope.spawn(move || worker(w, step, config, rt, deques, seen, pending, results))
             })
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok(counters) => counters.merge_into(&mut stats),
+                Ok((counters, steals)) => {
+                    stats.absorb(&counters);
+                    stats.steals += steals;
+                }
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -101,19 +105,21 @@ pub(super) fn run(
 }
 
 /// One worker: pop locally, steal when dry, exit when the pending counter
-/// proves global completion or the run is cancelled.
+/// proves global completion or the run is cancelled. Returns the worker's
+/// step counters and its successful steal count.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     w: usize,
-    g: &BipartiteGraph,
+    step: &ThreeStep<'_>,
     config: &ParallelConfig,
     rt: &ParRuntime<'_>,
     deques: &[Mutex<VecDeque<Biplex>>],
     seen: &ConcurrentSeenSet,
     pending: &AtomicUsize,
     results: &Mutex<Vec<Biplex>>,
-) -> WorkerCounters {
-    let mut counters = WorkerCounters::default();
+) -> (TraversalStats, u64) {
+    let mut counters = TraversalStats::default();
+    let mut steals = 0u64;
     // Every intersection this worker performs honours the configured kernel
     // (worker threads start from `Kernel::Auto`, so this installs the
     // `--kernel` A/B override end-to-end).
@@ -131,7 +137,7 @@ fn worker(
             break;
         }
         let host = pop_own(&deques[w])
-            .or_else(|| steal(w, deques, config.steal_adaptive, &mut rng, &mut counters));
+            .or_else(|| steal(w, deques, config.steal_adaptive, &mut rng, &mut steals));
         let Some(host) = host else {
             // ordering: SeqCst — the termination check must observe every
             // fetch_add that happened before the matching deque push it
@@ -159,7 +165,7 @@ fn worker(
         idle = 0;
 
         let my_deque = &deques[w];
-        let mut on_new = |solution: Biplex, report: bool, expandable: bool| {
+        let on_new = |solution: Biplex, report: bool, expandable: bool| {
             let collect = report && !rt.deliver(&solution);
             // A cancelled run stops scheduling new expansions; the already
             // delivered solutions stay valid.
@@ -181,12 +187,11 @@ fn worker(
             }
         };
         expand_solution(
-            g,
-            config,
+            step,
             &host,
             &mut counters,
-            &|s: &Biplex| seen.insert(s.canonical_key()),
-            &mut on_new,
+            |s: &Biplex| seen.insert(s.canonical_key()),
+            on_new,
             rt.cancel,
         );
         // Only now is this item fully accounted for.
@@ -200,7 +205,7 @@ fn worker(
     if !batch.is_empty() {
         plock(results).append(&mut batch);
     }
-    counters
+    (counters, steals)
 }
 
 /// LIFO pop from the worker's own deque.
@@ -218,7 +223,7 @@ fn steal(
     deques: &[Mutex<VecDeque<Biplex>>],
     adaptive: bool,
     rng: &mut u64,
-    counters: &mut WorkerCounters,
+    steals: &mut u64,
 ) -> Option<Biplex> {
     let n = deques.len();
     if n == 1 {
@@ -238,7 +243,7 @@ fn steal(
         let take = if adaptive && len <= STEAL_SHALLOW { 1 } else { len.div_ceil(2) };
         let mut stolen: VecDeque<Biplex> = victim.drain(..take).collect();
         drop(victim);
-        counters.steals += 1;
+        *steals += 1;
         let first = stolen.pop_front();
         if !stolen.is_empty() {
             let mut mine = plock(&deques[w]);

@@ -11,26 +11,37 @@
 //!   ablation variants of Figure 11 (`iTraversal-ES`, `iTraversal-ES-RS`)
 //!   fall out of the same code path.
 //!
-//! The DFS over the implicit solution graph is driven by an explicit stack
-//! (no recursion), so arbitrarily deep solution graphs cannot overflow the
-//! call stack. Size thresholds for *large MBP* enumeration (Section 5) are
-//! applied inside the engine: almost-satisfying-graph pruning,
-//! local-solution pruning, solution pruning and the exclusion-based
-//! left-side pruning.
+//! The asymmetric enumeration (`Algorithm::Asym`) is this engine under the
+//! bTraversal rules with a per-side budget ([`crate::asym::KPair`]).
+//!
+//! The engine owns the DFS over the implicit solution graph, the store that
+//! de-duplicates it and the exclusion set ℰ(H). The work done for one
+//! (host, candidate) pair — forming the almost-satisfying graph,
+//! `EnumAlmostSat`, the exclusion, size and right-shrinking prunings and the
+//! extension — is the crate-internal three-step shared with the parallel
+//! engines; this engine hands it ℰ(H) and a per-link callback that inserts
+//! into the store, reports and schedules the descent.
+//!
+//! The DFS is driven by an explicit stack (no recursion), so arbitrarily
+//! deep solution graphs cannot overflow the call stack. The size
+//! thresholds for *large MBP* enumeration (Section 5) prune inside the
+//! three-step (almost-satisfying graphs and local solutions) and here
+//! (solutions, and the exclusion-based left-side pruning).
 
 use std::time::Instant;
 
-use bigraph::intersect::{intersects, set_thread_kernel, Kernel};
+use bigraph::intersect::{set_thread_kernel, Kernel};
 use bigraph::order::{Relabeling, VertexOrder};
 use bigraph::{BipartiteGraph, Side, VertexRef};
 
-use crate::biplex::{sorted_intersection_len, Biplex, PartialBiplex};
-use crate::enum_almost_sat::{enum_almost_sat, EnumKind};
-use crate::extend::{extend_to_maximal, right_extension_candidates, ExtendMode};
+use crate::asym::{initial_asym, KPair};
+use crate::biplex::{Biplex, PartialBiplex};
+use crate::enum_almost_sat::EnumKind;
 use crate::initial::{initial_arbitrary, initial_left_anchored};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
 use crate::store::{HashStore, SolutionStore};
+use crate::three_step::{Outcome, ThreeStep};
 
 /// Which designated initial solution the traversal starts from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,6 +251,19 @@ pub(crate) fn traverse<S: SolutionSink + ?Sized>(
     config: &TraversalConfig,
     sink: &mut S,
 ) -> TraversalStats {
+    traverse_budget(g, config, KPair::symmetric(config.k), sink)
+}
+
+/// The engine proper, with the miss budget given as per-side budgets: it
+/// reads the budget from `budget`, never from `config.k`. [`traverse`] is
+/// the symmetric case; `Algorithm::Asym` calls it under the `bTraversal`
+/// rules with its [`KPair`].
+pub(crate) fn traverse_budget<S: SolutionSink + ?Sized>(
+    g: &BipartiteGraph,
+    config: &TraversalConfig,
+    budget: KPair,
+    sink: &mut S,
+) -> TraversalStats {
     // A relabeling pass runs the engine on the permuted graph and maps
     // solutions back to the input ids; the canonical solution set is a
     // property of the graph, so it is unchanged.
@@ -248,7 +272,7 @@ pub(crate) fn traverse<S: SolutionSink + ?Sized>(
         let rg = relab.apply(g);
         let cfg = TraversalConfig { order: VertexOrder::Input, ..config.clone() };
         let mut map_sink = |b: &Biplex| sink.on_solution(&b.map_back(&relab));
-        return traverse(&rg, &cfg, &mut map_sink as &mut dyn SolutionSink);
+        return traverse_budget(&rg, &cfg, budget, &mut map_sink as &mut dyn SolutionSink);
     }
 
     // The right-anchored variant is the left-anchored variant on the
@@ -261,7 +285,12 @@ pub(crate) fn traverse<S: SolutionSink + ?Sized>(
         let mut flip_sink = |b: &Biplex| sink.on_solution(&b.clone().transpose());
         // Coerce to a trait object so the recursive call does not create an
         // unbounded chain of closure instantiations.
-        return traverse(&t, &cfg, &mut flip_sink as &mut dyn SolutionSink);
+        return traverse_budget(
+            &t,
+            &cfg,
+            budget.transpose(),
+            &mut flip_sink as &mut dyn SolutionSink,
+        );
     }
 
     // Install the configured intersection kernel for the run; the guard
@@ -269,18 +298,19 @@ pub(crate) fn traverse<S: SolutionSink + ?Sized>(
     // configs do not leak into each other.
     let _kernel = set_thread_kernel(config.kernel);
 
+    // The transpose is needed only for right-side candidates (bTraversal).
+    let gt = if config.left_anchored { None } else { Some(g.transpose()) };
     let mut engine = Engine {
-        g,
-        gt: if config.left_anchored { None } else { Some(g.transpose()) },
-        config,
+        step: ThreeStep { g, gt: gt.as_ref(), rules: config, budget },
         store: HashStore::new(),
         stats: TraversalStats::default(),
         sink,
         stop: false,
     };
     let initial = match config.anchor {
-        Anchor::Left => initial_left_anchored(g, config.k),
-        Anchor::Arbitrary => initial_arbitrary(g, config.k),
+        Anchor::Left => initial_left_anchored(g, budget.left),
+        Anchor::Arbitrary if budget.is_symmetric() => initial_arbitrary(g, budget.left),
+        Anchor::Arbitrary => initial_asym(g, budget),
         Anchor::Right => unreachable!("handled above"),
     };
     engine.run(initial);
@@ -318,11 +348,7 @@ struct Frame {
 }
 
 struct Engine<'a, S: SolutionSink + ?Sized> {
-    g: &'a BipartiteGraph,
-    /// Transposed graph, present only when right-side candidates are needed
-    /// (bTraversal).
-    gt: Option<BipartiteGraph>,
-    config: &'a TraversalConfig,
+    step: ThreeStep<'a>,
     store: HashStore,
     stats: TraversalStats,
     sink: &'a mut S,
@@ -333,7 +359,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     fn run(&mut self, initial: Biplex) {
         self.store.insert(&initial);
         self.stats.solutions = 1;
-        if self.config.emit == EmitMode::Immediate {
+        if self.step.rules.emit == EmitMode::Immediate {
             self.emit(&initial);
         }
         let mut stack: Vec<Frame> = Vec::new();
@@ -345,7 +371,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
             // Deadline boundary: a budgeted run winds down here even when
             // no solution ever reaches the sink (e.g. thresholds filter
             // everything out).
-            if self.config.deadline.is_some_and(|d| Instant::now() >= d) {
+            if self.step.rules.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.stats.stopped_early = true;
                 break;
             }
@@ -365,7 +391,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
             // 2. Close out the candidate whose branch just completed.
             if let Some(done) = frame.current_candidate.take() {
                 if let Some(v) = done {
-                    if self.config.exclusion {
+                    if self.step.rules.exclusion {
                         if let Err(pos) = frame.exclusion.binary_search(&v) {
                             frame.exclusion.insert(pos, v);
                         }
@@ -375,36 +401,21 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
                 continue;
             }
 
-            // 3. Move on to the next candidate vertex (or finish the frame).
-            match self.next_candidate(&mut frame) {
-                Some(cand) => {
-                    frame.current_candidate = Some(match cand.side {
-                        Side::Left => Some(cand.id),
-                        Side::Right => None,
-                    });
-                    self.process_candidate(&mut frame, cand);
-                    stack.push(frame);
-                }
-                None => {
-                    // Frame exhausted: post-order emission point.
-                    if self.config.emit == EmitMode::Alternating && frame.depth % 2 == 1 {
-                        self.emit(&frame.partial.to_biplex());
-                    }
-                }
+            // 3. Run the three-step on the next candidate vertex it does not
+            //    prune (or finish the frame).
+            if self.process_next_candidate(&mut frame) {
+                stack.push(frame);
+            } else if self.step.rules.emit == EmitMode::Alternating && frame.depth % 2 == 1 {
+                // Frame exhausted: post-order emission point.
+                self.emit(&frame.partial.to_biplex());
             }
         }
     }
 
     /// Reports a solution to the sink, applying the size filter.
     fn emit(&mut self, solution: &Biplex) {
-        if solution.left.len() >= self.config.theta_left
-            && solution.right.len() >= self.config.theta_right
-        {
-            self.stats.reported += 1;
-            if self.sink.on_solution(solution) == Control::Stop {
-                self.stop = true;
-                self.stats.stopped_early = true;
-            }
+        if deliver(&mut *self.sink, &mut self.stats, self.step.rules, solution) == Control::Stop {
+            self.stop = true;
         }
     }
 
@@ -413,7 +424,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     /// recursion from this solution is pruned (the solution itself has
     /// already been reported).
     fn make_frame(&mut self, solution: Biplex, exclusion: Vec<u32>, depth: usize) -> Option<Frame> {
-        let cfg = self.config;
+        let cfg = self.step.rules;
         // Solution pruning: with right-shrinking traversal every descendant
         // has a right side no larger than this one.
         if cfg.theta_right > 0 && cfg.right_shrinking && solution.right.len() < cfg.theta_right {
@@ -426,7 +437,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         // Left-side pruning via the exclusion set.
         if cfg.theta_left > 0
             && cfg.exclusion
-            && (self.g.num_left() as usize).saturating_sub(exclusion.len()) < cfg.theta_left
+            && (self.step.g.num_left() as usize).saturating_sub(exclusion.len()) < cfg.theta_left
         {
             self.stats.pruned_size += 1;
             if cfg.emit == EmitMode::Alternating {
@@ -442,7 +453,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
         Some(Frame {
-            partial: PartialBiplex::from_sets(self.g, &solution.left, &solution.right),
+            partial: PartialBiplex::from_sets(self.step.g, &solution.left, &solution.right),
             exclusion,
             next_candidate: 0,
             current_candidate: None,
@@ -451,207 +462,77 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         })
     }
 
-    /// Advances to the next candidate vertex of the frame, applying the
-    /// left-anchored restriction, the exclusion strategy and the
-    /// almost-satisfying-graph pruning of Section 5.
-    fn next_candidate(&mut self, frame: &mut Frame) -> Option<VertexRef> {
-        let num_left = self.g.num_left() as u64;
-        let num_right = self.g.num_right() as u64;
-        let limit = if self.config.left_anchored { num_left } else { num_left + num_right };
+    /// Runs the three-step on the frame's candidate vertices in the combined
+    /// order (left ids, then — without left-anchoring — right ids) until one
+    /// is not pruned, recording it as the frame's current candidate: its new
+    /// solutions become the frame's pending children. Returns `false` once
+    /// the frame has no candidate left.
+    fn process_next_candidate(&mut self, frame: &mut Frame) -> bool {
+        let g = self.step.g;
+        let num_left = g.num_left() as u64;
+        let limit =
+            if self.step.rules.left_anchored { num_left } else { num_left + g.num_right() as u64 };
         while frame.next_candidate < limit {
             let pos = frame.next_candidate;
             frame.next_candidate += 1;
-            if pos < num_left {
-                let v = pos as u32;
-                if frame.partial.contains_left(v) {
-                    continue;
-                }
-                if self.config.exclusion && frame.exclusion.binary_search(&v).is_ok() {
-                    self.stats.pruned_exclusion += 1;
-                    continue;
-                }
-                // Almost-satisfying-graph pruning: every solution reached
-                // through v keeps v on its left side and (under
-                // right-shrinking) a right side within N(v, R_H) plus at
-                // most k non-neighbours.
-                if self.config.theta_right > 0 && self.config.right_shrinking {
-                    let deg_in_r =
-                        sorted_intersection_len(self.g.left_neighbors(v), frame.partial.right());
-                    if deg_in_r + self.config.k < self.config.theta_right {
-                        self.stats.pruned_size += 1;
-                        continue;
-                    }
-                }
-                return Some(VertexRef::left(v));
+            let cand = if pos < num_left {
+                VertexRef::left(pos as u32)
             } else {
-                let u = (pos - num_left) as u32;
-                if frame.partial.contains_right(u) {
-                    continue;
-                }
-                return Some(VertexRef::right(u));
+                VertexRef::right((pos - num_left) as u32)
+            };
+            let in_host = match cand.side {
+                Side::Left => frame.partial.contains_left(cand.id),
+                Side::Right => frame.partial.contains_right(cand.id),
+            };
+            if in_host {
+                continue;
             }
-        }
-        None
-    }
 
-    /// Runs `EnumAlmostSat` for one candidate vertex and handles every local
-    /// solution: pruning rules, extension to a real MBP, de-duplication,
-    /// emission and scheduling of the DFS descent.
-    fn process_candidate(&mut self, frame: &mut Frame, cand: VertexRef) {
-        self.stats.almost_sat_graphs += 1;
-
-        let Engine { g, gt, config, store, stats, sink, stop } = self;
-        let g: &BipartiteGraph = g;
-        let cfg: &TraversalConfig = config;
-        let k = cfg.k;
-
-        let exclusion = &frame.exclusion;
-        let children = &mut frame.current_children;
-        let host = &frame.partial;
-
-        // For right-side candidates (bTraversal only) the left-oriented
-        // EnumAlmostSat runs on the transposed graph with the flipped host.
-        let (enum_graph, enum_host, flip): (&BipartiteGraph, PartialBiplex, bool) = match cand.side
-        {
-            Side::Left => (g, host.clone(), false),
-            Side::Right => {
-                let Some(gt) = gt.as_ref() else {
-                    unreachable!("transpose is built when right candidates are enabled")
-                };
-                (gt, host.flipped(), true)
-            }
-        };
-
-        let theta_filter_left = cfg.theta_left;
-        let theta_filter_right = cfg.theta_right;
-
-        let almost_stats = enum_almost_sat(
-            enum_graph,
-            k,
-            cfg.enum_kind,
-            &enum_host,
-            cand.id,
-            |local: Biplex| -> bool {
-                if *stop {
-                    return false;
-                }
-                let local = if flip { local.transpose() } else { local };
-                stats.local_solutions += 1;
-
-                // Exclusion strategy: discard local solutions containing an
-                // excluded vertex.
-                if cfg.exclusion && intersects(&local.left, exclusion) {
-                    stats.pruned_exclusion += 1;
-                    return true;
-                }
-
-                // Local-solution pruning (Section 5): under right-shrinking
-                // the final right side equals the local one.
-                if cfg.theta_right > 0 && cfg.right_shrinking && local.right.len() < cfg.theta_right
-                {
-                    stats.pruned_size += 1;
-                    return true;
-                }
-
-                let mut partial = PartialBiplex::from_sets(g, &local.left, &local.right);
-
-                // Right-shrinking traversal (Algorithm 2 line 7): discard
-                // the local solution if any right vertex of G outside it can
-                // be added.
-                if cfg.right_shrinking && exists_addable_right_outside(g, &partial, host, k) {
-                    stats.pruned_right_shrinking += 1;
-                    return true;
-                }
-
-                // Step 3: extend to a maximal k-biplex of G.
-                let mode =
-                    if cfg.right_shrinking { ExtendMode::LeftOnly } else { ExtendMode::BothSides };
-                extend_to_maximal(g, &mut partial, k, mode);
-                let solution = partial.to_biplex();
-
-                // Exclusion strategy on the extended solution: prune links
-                // towards solutions containing an excluded vertex.
-                if cfg.exclusion && intersects(&solution.left, exclusion) {
-                    stats.pruned_exclusion += 1;
-                    return true;
-                }
-
-                stats.links += 1;
-                if store.insert(&solution) {
+            let Engine { step, store, stats, sink, stop } = self;
+            let rules = step.rules;
+            let children = &mut frame.current_children;
+            let outcome =
+                step.run(&frame.partial, cand, &frame.exclusion, stats, |solution, stats| {
+                    if !store.insert(&solution) {
+                        stats.duplicate_links += 1;
+                        return Control::Continue;
+                    }
                     stats.solutions += 1;
-                    if cfg.emit == EmitMode::Immediate
-                        && solution.left.len() >= theta_filter_left
-                        && solution.right.len() >= theta_filter_right
+                    if rules.emit == EmitMode::Immediate
+                        && deliver(&mut **sink, stats, rules, &solution) == Control::Stop
                     {
-                        stats.reported += 1;
-                        if sink.on_solution(&solution) == Control::Stop {
-                            *stop = true;
-                            stats.stopped_early = true;
-                            return false;
-                        }
+                        *stop = true;
+                        return Control::Stop;
                     }
                     children.push(solution);
-                } else {
-                    stats.duplicate_links += 1;
-                }
-                true
-            },
-        );
-        self.stats.almost_sat.absorb(&almost_stats);
+                    Control::Continue
+                });
+            if outcome != Outcome::Pruned {
+                frame.current_candidate = Some((cand.side == Side::Left).then_some(cand.id));
+                return true;
+            }
+        }
+        false
     }
 }
 
-/// `true` iff some right vertex of `G` outside both the local solution and
-/// the host solution can be added to `partial` while keeping the k-biplex
-/// property (the right-shrinking test of Algorithm 2 line 7; right vertices
-/// of the host outside the local solution need not be tested because the
-/// local solution is maximal within the almost-satisfying graph).
-fn exists_addable_right_outside(
-    g: &BipartiteGraph,
-    partial: &PartialBiplex,
-    host: &PartialBiplex,
-    k: usize,
-) -> bool {
-    if g.num_right() as usize == partial.right().len() {
-        return false;
+/// Hands `solution` to the sink if it passes the size thresholds, counting
+/// the report; a stop verdict marks the run as stopped early.
+fn deliver<S: SolutionSink + ?Sized>(
+    sink: &mut S,
+    stats: &mut TraversalStats,
+    rules: &TraversalConfig,
+    solution: &Biplex,
+) -> Control {
+    if solution.left.len() < rules.theta_left || solution.right.len() < rules.theta_right {
+        return Control::Continue;
     }
-    // A saturated left vertex (miss count = k) only tolerates additions
-    // adjacent to it, so its adjacency list bounds the candidates.
-    let saturated = (0..partial.left().len()).find(|&i| partial.left_miss(i) as usize >= k);
-    match saturated {
-        Some(i) => {
-            let anchor = partial.left()[i];
-            for &u in g.left_neighbors(anchor) {
-                if !partial.contains_right(u)
-                    && !host.contains_right(u)
-                    && partial.can_add_right(g, u, k)
-                {
-                    return true;
-                }
-            }
-            false
-        }
-        None => {
-            if partial.left().len() <= k {
-                // No left vertex is saturated and every left vertex tolerates
-                // at least |L| ≤ k misses, so *any* right vertex outside the
-                // local solution can be added — and one exists by the size
-                // check at the top of this function.
-                true
-            } else {
-                let cands = right_extension_candidates(g, partial.left(), k);
-                for u in cands {
-                    if !partial.contains_right(u)
-                        && !host.contains_right(u)
-                        && partial.can_add_right(g, u, k)
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
-        }
+    stats.reported += 1;
+    let verdict = sink.on_solution(solution);
+    if verdict == Control::Stop {
+        stats.stopped_early = true;
     }
+    verdict
 }
 
 #[cfg(test)]

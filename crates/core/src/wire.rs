@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use crate::api::{ApiError, EngineStats, QuerySpec, ReducedGraph, RunReport};
-use crate::asym::{AsymStats, KPair};
+use crate::asym::KPair;
 use crate::biplex::Biplex;
 use crate::enum_almost_sat::AlmostSatStats;
 use crate::json::{obj, s, u, Json, JsonError};
@@ -346,45 +346,13 @@ impl ParallelStats {
     }
 }
 
-impl AsymStats {
-    /// Encodes the counters as a flat JSON object.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("solutions", u(self.solutions)),
-            ("almost_sat_graphs", u(self.almost_sat_graphs)),
-            ("local_solutions", u(self.local_solutions)),
-            ("links", u(self.links)),
-            ("stopped_early", Json::Bool(self.stopped_early)),
-        ])
-    }
-
-    /// Decodes counters written by [`AsymStats::to_json`].
-    pub fn from_json(doc: &Json) -> Result<AsymStats, JsonError> {
-        let get = |key: &str| -> Result<u64, JsonError> {
-            doc.get(key).map(|v| v.as_u64(key)).transpose().map(Option::unwrap_or_default)
-        };
-        Ok(AsymStats {
-            solutions: get("solutions")?,
-            almost_sat_graphs: get("almost_sat_graphs")?,
-            local_solutions: get("local_solutions")?,
-            links: get("links")?,
-            stopped_early: doc
-                .get("stopped_early")
-                .map(|v| v.as_bool("stopped_early"))
-                .transpose()?
-                .unwrap_or(false),
-        })
-    }
-}
-
 impl EngineStats {
     /// Stable kind code of the variant (`"sequential"`, `"parallel"`,
-    /// `"asym"`, `"oracle"`). Pinned by `tests/api_surface.rs`.
+    /// `"oracle"`). Pinned by `tests/api_surface.rs`.
     pub fn kind(&self) -> &'static str {
         match self {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
-            EngineStats::Asym(_) => "asym",
             EngineStats::Oracle => "oracle",
         }
     }
@@ -394,7 +362,6 @@ impl EngineStats {
         let counters = match self {
             EngineStats::Sequential(stats) => stats.to_json(),
             EngineStats::Parallel(stats) => stats.to_json(),
-            EngineStats::Asym(stats) => stats.to_json(),
             EngineStats::Oracle => obj(vec![]),
         };
         obj(vec![("kind", s(self.kind())), ("counters", counters)])
@@ -411,7 +378,6 @@ impl EngineStats {
         match kind {
             "sequential" => Ok(EngineStats::Sequential(TraversalStats::from_json(counters?)?)),
             "parallel" => Ok(EngineStats::Parallel(ParallelStats::from_json(counters?)?)),
-            "asym" => Ok(EngineStats::Asym(AsymStats::from_json(counters?)?)),
             "oracle" => Ok(EngineStats::Oracle),
             other => Err(JsonError(format!("engine stats: unknown kind {other:?}"))),
         }
@@ -577,7 +543,6 @@ mod tests {
             assert_eq!(back.stats.kind(), report.stats.kind());
             match (&back.stats, &report.stats) {
                 (EngineStats::Sequential(a), EngineStats::Sequential(b)) => assert_eq!(a, b),
-                (EngineStats::Asym(a), EngineStats::Asym(b)) => assert_eq!(a, b),
                 (EngineStats::Oracle, EngineStats::Oracle) => {}
                 (EngineStats::Parallel(a), EngineStats::Parallel(b)) => {
                     assert_eq!(a.solutions, b.solutions);

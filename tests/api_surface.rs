@@ -184,14 +184,12 @@ fn engine_stats_kinds_are_the_snapshot() {
     let stats = [
         EngineStats::Sequential(kbiplex::TraversalStats::default()),
         EngineStats::Parallel(kbiplex::ParallelStats::default()),
-        EngineStats::Asym(kbiplex::asym::AsymStats::default()),
         EngineStats::Oracle,
     ];
     for s in stats {
         let kind = match s {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
-            EngineStats::Asym(_) => "asym",
             EngineStats::Oracle => "oracle",
         };
         assert_eq!(s.kind(), kind);
@@ -264,7 +262,7 @@ fn report_shapes_are_the_snapshot() {
         EngineStats::Parallel(s) => {
             let _: kbiplex::ParallelStats = s;
         }
-        EngineStats::Asym(_) | EngineStats::Oracle => {}
+        EngineStats::Oracle => {}
     }
     let ReducedGraph { left, right, edges } = reduced.expect("large runs report the reduction");
     let _: (u32, u32, u64) = (left, right, edges);

@@ -86,6 +86,41 @@ fn work_stealing_engine_matches_sequential_on_chung_lu_graphs() {
     }
 }
 
+/// Counter parity: both schedulers run the sequential engine's three-step
+/// over the same solutions, each solution expanded exactly once, so the
+/// almost-satisfying graphs formed and the local solutions enumerated must
+/// equal those of sequential `iTraversal-ES` (no exclusion strategy; the
+/// host-local exclusion only prunes after `EnumAlmostSat`) at every thread
+/// count.
+#[test]
+fn parallel_step_counters_equal_sequential_itraversal_es() {
+    for seed in 0..4u64 {
+        let nl = 10 + (seed % 3) as u32;
+        let nr = 9 + (seed % 2) as u32;
+        let edges = 3 * (nl as u64 + nr as u64) / 2;
+        let g = chung_lu_bipartite(nl, nr, edges, 2.2, seed);
+        for k in 1..=2usize {
+            let report = Enumerator::new(&g)
+                .k(k)
+                .algorithm(Algorithm::ITraversalNoExclusion)
+                .run(&mut CountingSink::new())
+                .expect("valid facade configuration");
+            let EngineStats::Sequential(sequential) = report.stats else {
+                panic!("sequential runs report sequential stats");
+            };
+            for threads in [1usize, 2, 4] {
+                for engine in [Engine::WorkSteal, Engine::GlobalQueue] {
+                    let (_, stats) =
+                        par_run(&Enumerator::new(&g).k(k).engine(engine).threads(threads));
+                    let ctx = format!("seed {seed} k {k} threads {threads} engine {engine:?}");
+                    assert_eq!(stats.almost_sat_graphs, sequential.almost_sat_graphs, "{ctx}");
+                    assert_eq!(stats.local_solutions, sequential.local_solutions, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 /// Full cross of the new knobs with orders and thread counts on one
 /// dedup-heavy graph: the growable seen-set (starting from one segment so
 /// it grows mid-run) and adaptive stealing compose with every

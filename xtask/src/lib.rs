@@ -23,6 +23,12 @@
 //!   (`*_intersection_len`) are `bigraph`-internal; every other crate must
 //!   go through `intersect::dispatch` so the measured crossover heuristic
 //!   and the per-thread `--kernel` override stay authoritative.
+//! - **`three-step`** — the per-(host, candidate) `iThreeStep` lives in
+//!   one routine (`crates/core/src/three_step.rs`). Non-test code in
+//!   `crates/core/src` may call `enum_almost_sat`, `extend_to_maximal`,
+//!   the asym local enumerator or the asym extension only there, in those
+//!   functions' own modules and in `initial.rs`, so no engine grows its own
+//!   copy of the step again.
 //!
 //! The scope-aware rules cover the blocking-concurrency half of the
 //! codebase (the serve scheduler's mutex+condvar core), built on a real
@@ -122,6 +128,21 @@ const ATOMIC_METHODS: &[&str] =
 /// source/test/example trees at the workspace root.
 const MEMBER_ROOTS: &[&str] = &["crates", "vendor", "xtask", "src", "tests", "examples"];
 
+/// The step pieces only the three-step routine may call in `core` library
+/// code (see [`THREE_STEP_HOMES`]).
+const THREE_STEP_CALLS: &[&str] =
+    &["enum_almost_sat(", "extend_to_maximal(", "local_solutions_asym(", "extend_to_maximal_asym("];
+
+/// Where [`THREE_STEP_CALLS`] may appear: the step's module, the modules
+/// defining the called functions, and the initial-solution builders.
+const THREE_STEP_HOMES: &[&str] = &[
+    "crates/core/src/three_step.rs",
+    "crates/core/src/enum_almost_sat/",
+    "crates/core/src/extend.rs",
+    "crates/core/src/asym.rs",
+    "crates/core/src/initial.rs",
+];
+
 /// The banned suppression attribute, assembled at runtime so the linter's
 /// own source does not trip the workspace-wide scan.
 fn dead_code_needle() -> String {
@@ -205,6 +226,8 @@ fn lint_lines(rel: &str, sf: &SourceFile, test_mask: &[bool]) -> Vec<Finding> {
     let dead_needle = dead_code_needle();
     let kernel_needles = raw_kernel_needles();
     let outside_bigraph = !rel.starts_with("crates/bigraph/src/");
+    let step_scope = rel.starts_with("crates/core/src/")
+        && !THREE_STEP_HOMES.iter().any(|home| rel.starts_with(home));
 
     for (idx, code) in sf.code_lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -246,6 +269,21 @@ fn lint_lines(rel: &str, sf: &SourceFile, test_mask: &[bool]) -> Vec<Finding> {
                 message: "use crate::sync::atomic so the model checker sees this operation"
                     .to_string(),
             });
+        }
+
+        // Rule: three-step (one copy of the per-candidate step).
+        if step_scope && !in_test_block {
+            if let Some(call) = THREE_STEP_CALLS.iter().find(|c| code.contains(*c)) {
+                findings.push(Finding {
+                    path: rel.to_string(),
+                    line: lineno,
+                    rule: "three-step",
+                    message: format!(
+                        "`{call}` outside the three-step routine: run the step through \
+                         `three_step::ThreeStep` instead of copying it"
+                    ),
+                });
+            }
         }
 
         if in_crate_src && !in_test_block {

@@ -231,6 +231,31 @@ fn raw_kernels_are_legal_inside_bigraph_only() {
 }
 
 #[test]
+fn three_step_pieces_are_legal_in_their_homes_only() {
+    let source = read_fixture("three_step_copy.rs");
+    // The identical code is fine inside the step's own module and the
+    // modules defining the pieces.
+    for home in ["crates/core/src/three_step.rs", "crates/core/src/enum_almost_sat/mod.rs"] {
+        let findings = lint_source(home, &source);
+        assert!(
+            !findings.iter().any(|f| f.rule == "three-step"),
+            "{home} was flagged: {findings:?}"
+        );
+    }
+    // Anywhere else in core library code, every piece is caught.
+    for call in
+        ["enum_almost_sat", "extend_to_maximal", "local_solutions_asym", "extend_to_maximal_asym"]
+    {
+        let code = format!("pub fn f() {{\n    {call}(g, host);\n}}\n");
+        let findings = lint_source("crates/core/src/traversal.rs", &code);
+        assert!(
+            findings.iter().any(|f| f.rule == "three-step" && f.line == 2),
+            "{call} escaped the lint: {findings:?}"
+        );
+    }
+}
+
+#[test]
 fn test_module_unwrap_is_exempt() {
     let source = read_fixture("unwrap_lib.rs");
     let findings = lint_source("crates/core/src/fixture.rs", &source);
