@@ -9,7 +9,9 @@
 //! direct in-process [`Enumerator`] run of the identical spec on the same
 //! graph, so the benchmark doubles as a service-vs-facade equivalence
 //! check. The headline numbers are per-query latency percentiles
-//! (p50/p95/p99) and aggregate throughput.
+//! (p50/p95/p99) and aggregate throughput. Each latency is split into the
+//! server's run time (`RunReport.elapsed`) and the rest (`latency − run`:
+//! queueing, encoding and transport), with p50/p99 of both.
 //!
 //! Results go to `BENCH_serve.json` (uploaded by CI's `serve-smoke` job).
 //!
@@ -85,7 +87,8 @@ fn main() {
         .map(|t| {
             let mix = query_mix();
             let expected = expected.clone();
-            std::thread::spawn(move || -> Vec<Duration> {
+            // (latency, server-side run time) per request.
+            std::thread::spawn(move || -> Vec<(Duration, Duration)> {
                 let tenant = format!("tenant-{t}");
                 let mut client = Client::connect(addr, &tenant).expect("connect");
                 let mut latencies = Vec::with_capacity(requests);
@@ -94,7 +97,7 @@ fn main() {
                     let (label, spec) = &mix[pick];
                     let start = Instant::now();
                     let report = client.count(spec).expect("service query");
-                    latencies.push(start.elapsed());
+                    latencies.push((start.elapsed(), report.elapsed));
                     assert_eq!(
                         report.solutions, expected[pick],
                         "service diverged from the direct facade on {label}"
@@ -105,17 +108,29 @@ fn main() {
         })
         .collect();
     let mut latencies: Vec<Duration> = Vec::with_capacity(tenants * requests);
+    let mut runs: Vec<Duration> = Vec::with_capacity(tenants * requests);
+    let mut overheads: Vec<Duration> = Vec::with_capacity(tenants * requests);
     for thread in threads {
-        latencies.extend(thread.join().expect("tenant thread"));
+        for (latency, run) in thread.join().expect("tenant thread") {
+            latencies.push(latency);
+            runs.push(run);
+            overheads.push(latency.saturating_sub(run));
+        }
     }
     let wall = bench_start.elapsed().as_secs_f64();
     handle.shutdown();
 
     latencies.sort_unstable();
+    runs.sort_unstable();
+    overheads.sort_unstable();
     let total = latencies.len();
     let p50 = percentile(&latencies, 50.0).as_secs_f64();
     let p95 = percentile(&latencies, 95.0).as_secs_f64();
     let p99 = percentile(&latencies, 99.0).as_secs_f64();
+    let run_p50 = percentile(&runs, 50.0).as_secs_f64();
+    let run_p99 = percentile(&runs, 99.0).as_secs_f64();
+    let overhead_p50 = percentile(&overheads, 50.0).as_secs_f64();
+    let overhead_p99 = percentile(&overheads, 99.0).as_secs_f64();
     let throughput = total as f64 / wall;
     eprintln!(
         "{total} requests in {wall:.3}s  throughput {throughput:.1} req/s  \
@@ -123,6 +138,14 @@ fn main() {
         p50 * 1e3,
         p95 * 1e3,
         p99 * 1e3
+    );
+    eprintln!(
+        "run (server-side) p50 {:.1}ms  p99 {:.1}ms; \
+         latency - run (queueing + transport) p50 {:.1}ms  p99 {:.1}ms",
+        run_p50 * 1e3,
+        run_p99 * 1e3,
+        overhead_p50 * 1e3,
+        overhead_p99 * 1e3
     );
     eprintln!("service counts matched the direct facade on all {total} responses");
 
@@ -140,6 +163,10 @@ fn main() {
     let _ = writeln!(s, "  \"latency_p50_secs\": {p50:.9},");
     let _ = writeln!(s, "  \"latency_p95_secs\": {p95:.9},");
     let _ = writeln!(s, "  \"latency_p99_secs\": {p99:.9},");
+    let _ = writeln!(s, "  \"run_p50_secs\": {run_p50:.9},");
+    let _ = writeln!(s, "  \"run_p99_secs\": {run_p99:.9},");
+    let _ = writeln!(s, "  \"overhead_p50_secs\": {overhead_p50:.9},");
+    let _ = writeln!(s, "  \"overhead_p99_secs\": {overhead_p99:.9},");
     let _ = writeln!(s, "  \"facade_match\": true,");
     s.push_str("  \"mix\": [\n");
     for (i, ((label, _), count)) in query_mix().iter().zip(&expected).enumerate() {

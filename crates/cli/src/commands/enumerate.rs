@@ -15,7 +15,7 @@ use crate::args::Args;
 use crate::commands::{load_graph, spec};
 use crate::CliError;
 
-/// Help text for `mbpe help enumerate`.
+/// Help text for `mbpe help enumerate` and `mbpe enumerate --help`.
 pub const HELP: &str = "\
 mbpe enumerate — enumerate maximal k-biplexes
 

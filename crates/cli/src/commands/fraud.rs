@@ -8,7 +8,7 @@ use frauddet::{run_detector, CamouflageScenario, Detector, ScenarioParams};
 use crate::args::Args;
 use crate::CliError;
 
-/// Help text for `mbpe help fraud`.
+/// Help text for `mbpe help fraud` and `mbpe fraud --help`.
 pub const HELP: &str = "\
 mbpe fraud — camouflage-attack fraud-detection case study (Figure 13)
 

@@ -12,7 +12,7 @@ use bigraph::BipartiteGraph;
 use crate::args::Args;
 use crate::CliError;
 
-/// Help text for `mbpe help generate`.
+/// Help text for `mbpe help generate` and `mbpe generate --help`.
 pub const HELP: &str = "\
 mbpe generate — synthesise a bipartite graph
 

@@ -11,7 +11,7 @@ use crate::args::Args;
 use crate::commands::spec;
 use crate::CliError;
 
-/// Help text for `mbpe help query`.
+/// Help text for `mbpe help query` and `mbpe query --help`.
 pub const HELP: &str = "\
 mbpe query — query a running enumeration daemon
 

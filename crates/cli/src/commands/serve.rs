@@ -9,7 +9,7 @@ use crate::args::Args;
 use crate::commands::{load_graph, spec};
 use crate::CliError;
 
-/// Help text for `mbpe help serve`.
+/// Help text for `mbpe help serve` and `mbpe serve --help`.
 pub const HELP: &str = "\
 mbpe serve — run the enumeration daemon
 
@@ -18,8 +18,9 @@ USAGE:
     mbpe serve --dataset <NAME> [OPTIONS]
 
 The daemon loads the graph once and answers `mbpe query` requests until
-killed. Edge updates sent by clients swap in a fresh immutable snapshot;
-running queries keep the snapshot they started on.
+killed. Edge updates sent by clients edit the served graph; the next
+query admitted runs on one fresh immutable snapshot holding all of them,
+while running queries keep the snapshot they started on.
 
 OPTIONS:
     --addr <HOST:PORT>      Bind address (default 127.0.0.1:7661; port 0

@@ -8,7 +8,7 @@ use crate::args::Args;
 use crate::commands::load_graph;
 use crate::CliError;
 
-/// Help text for `mbpe help stats`.
+/// Help text for `mbpe help stats` and `mbpe stats --help`.
 pub const HELP: &str = "\
 mbpe stats — print summary statistics of a graph
 

@@ -12,7 +12,7 @@ use crate::args::Args;
 use crate::commands::load_graph;
 use crate::CliError;
 
-/// Help text for `mbpe help update`.
+/// Help text for `mbpe help update` and `mbpe update --help`.
 pub const HELP: &str = "\
 mbpe update — maintain maximal k-biplexes under edge updates
 

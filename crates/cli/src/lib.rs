@@ -81,7 +81,27 @@ COMMANDS:
     fraud       Run the camouflage-attack fraud-detection case study
     help        Show this message
 
-Run `mbpe help <COMMAND>` for command-specific options.";
+Run `mbpe help <COMMAND>` or `mbpe <COMMAND> --help` for command-specific options.";
+
+/// The help text of `command`, if it is one.
+fn command_help(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "generate" => commands::generate::HELP,
+        "stats" => commands::stats::HELP,
+        "enumerate" => commands::enumerate::HELP,
+        "update" => commands::update::HELP,
+        "serve" => commands::serve::HELP,
+        "query" => commands::query::HELP,
+        "fraud" => commands::fraud::HELP,
+        _ => return None,
+    })
+}
+
+/// `true` when `--help` or `-h` appears among a subcommand's options
+/// (before any `--` terminator).
+fn asks_for_help(rest: &[String]) -> bool {
+    rest.iter().take_while(|t| *t != "--").any(|t| t == "--help" || t == "-h")
+}
 
 /// Entry point shared by the binary and the tests: `raw` is everything after
 /// the program name, `out` receives the normal output.
@@ -91,6 +111,10 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     };
     let rest = &raw[1..];
+    if let Some(help) = command_help(command).filter(|_| asks_for_help(rest)) {
+        writeln!(out, "{help}")?;
+        return Ok(());
+    }
     match command.as_str() {
         "generate" => commands::generate::run(rest, out),
         "stats" => commands::stats::run(rest, out),
@@ -100,16 +124,8 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "query" => commands::query::run(rest, out),
         "fraud" => commands::fraud::run(rest, out),
         "help" | "--help" | "-h" => {
-            match rest.first().map(String::as_str) {
-                Some("generate") => writeln!(out, "{}", commands::generate::HELP)?,
-                Some("stats") => writeln!(out, "{}", commands::stats::HELP)?,
-                Some("enumerate") => writeln!(out, "{}", commands::enumerate::HELP)?,
-                Some("update") => writeln!(out, "{}", commands::update::HELP)?,
-                Some("serve") => writeln!(out, "{}", commands::serve::HELP)?,
-                Some("query") => writeln!(out, "{}", commands::query::HELP)?,
-                Some("fraud") => writeln!(out, "{}", commands::fraud::HELP)?,
-                _ => writeln!(out, "{USAGE}")?,
-            }
+            let help = rest.first().and_then(|c| command_help(c)).unwrap_or(USAGE);
+            writeln!(out, "{help}")?;
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),

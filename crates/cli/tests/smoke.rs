@@ -165,3 +165,27 @@ fn generate_stats_enumerate_roundtrip() {
 
     std::fs::remove_file(path).ok();
 }
+
+/// `--help` and `-h` are flags on every subcommand: the binary prints that
+/// command's help and exits 0, instead of asking for the option's value.
+#[test]
+fn subcommand_help_flags_print_help_and_exit_zero() {
+    for cmd in ["enumerate", "query", "serve", "update"] {
+        for flag in ["--help", "-h"] {
+            let text = run(&[cmd, flag]);
+            assert!(text.contains("USAGE") && text.contains(&format!("mbpe {cmd}")), "{text}");
+            assert_eq!(text, run(&["help", cmd]), "{cmd} {flag} prints `mbpe help {cmd}`");
+        }
+        // After other options too, and without touching the graph file.
+        let text = run(&[cmd, "no-such-file.txt", "--k", "1", "--help"]);
+        assert!(text.contains(&format!("mbpe {cmd}")), "{text}");
+
+        let bin = std::process::Command::new(env!("CARGO_BIN_EXE_mbpe"))
+            .args([cmd, "--help"])
+            .output()
+            .expect("run the mbpe binary");
+        assert!(bin.status.success(), "mbpe {cmd} --help exited with {:?}", bin.status);
+        let stdout = String::from_utf8(bin.stdout).expect("utf-8 help");
+        assert!(stdout.contains(&format!("mbpe {cmd}")), "{stdout}");
+    }
+}

@@ -82,7 +82,8 @@ pub struct QueryOutcome {
 pub struct UpdateOutcome {
     /// `true` if the edge set changed.
     pub changed: bool,
-    /// Shape of the snapshot published after the update.
+    /// Shape of the graph after the update: the snapshot the next query
+    /// runs on.
     pub snapshot: SnapshotInfo,
 }
 
@@ -177,17 +178,20 @@ impl Client {
         }
     }
 
-    /// Inserts an edge into the served graph, publishing a new snapshot.
+    /// Inserts an edge into the served graph; queries sent after the reply
+    /// see it.
     pub fn insert_edge(&mut self, left: u32, right: u32) -> Result<UpdateOutcome, ClientError> {
         self.update(UpdateOp::Insert, left, right)
     }
 
-    /// Deletes an edge from the served graph, publishing a new snapshot.
+    /// Deletes an edge from the served graph; queries sent after the reply
+    /// see it.
     pub fn delete_edge(&mut self, left: u32, right: u32) -> Result<UpdateOutcome, ClientError> {
         self.update(UpdateOp::Delete, left, right)
     }
 
-    /// Health check; returns the current snapshot shape.
+    /// Health check; returns the served graph's shape with every update
+    /// applied.
     pub fn ping(&mut self) -> Result<SnapshotInfo, ClientError> {
         let req = Request::Ping { id: self.next_id() };
         match self.round_trip(&req)? {

@@ -55,12 +55,19 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Writes `payload` as one frame (length prefix + bytes) and flushes.
+///
+/// Prefix and payload go out in a single `write_all` over one buffer. Two
+/// writes on a socket put the payload behind Nagle's algorithm, which waits
+/// for the peer to acknowledge the 4-byte prefix — with a delayed ACK,
+/// about 40 ms per response.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload exceeds u32 length")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -97,6 +104,35 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        for payload in [&b""[..], b"x", &[9u8; 5000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {} bytes", payload.len());
+            assert_eq!(read_frame(&mut &w.bytes[..], 1 << 20).unwrap().unwrap(), payload);
+        }
+    }
 
     #[test]
     fn round_trips_and_reports_clean_eof() {

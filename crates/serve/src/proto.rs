@@ -24,6 +24,9 @@ pub const CODE_FRAME_TOO_LARGE: &str = "frame-too-large";
 pub const CODE_SHUTTING_DOWN: &str = "shutting-down";
 /// Error code: an edge update referenced a vertex outside the graph.
 pub const CODE_BAD_UPDATE: &str = "bad-update";
+/// Error code: the query panicked on the server. The worker survives and
+/// the connection stays usable.
+pub const CODE_INTERNAL: &str = "internal";
 
 /// An edge mutation applied to the server's dynamic graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +77,8 @@ pub struct QueryRequest {
 pub enum Request {
     /// Run an enumeration on the current snapshot.
     Query(QueryRequest),
-    /// Mutate the dynamic graph and publish a fresh snapshot.
+    /// Mutate the dynamic graph; the next admitted query runs on a
+    /// snapshot that includes the change.
     Update {
         /// Correlation id, echoed in the response.
         id: u64,
@@ -85,14 +89,14 @@ pub enum Request {
         /// Right endpoint.
         right: u32,
     },
-    /// Health check; the response reports the current snapshot shape.
+    /// Health check; the response reports the served graph's shape.
     Ping {
         /// Correlation id, echoed in the response.
         id: u64,
     },
 }
 
-/// Shape of the currently published snapshot.
+/// Shape of the served graph with every update so far applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnapshotInfo {
     /// Left vertices.
@@ -123,14 +127,14 @@ pub enum Response {
         /// `true` if the edge set changed (insert of a new edge, delete of
         /// an existing one).
         changed: bool,
-        /// Shape of the snapshot published after the update.
+        /// Shape of the graph after the update.
         snapshot: SnapshotInfo,
     },
     /// Health-check reply.
     Pong {
         /// Correlation id of the ping.
         id: u64,
-        /// Shape of the current snapshot.
+        /// Shape of the graph with every update so far applied.
         snapshot: SnapshotInfo,
     },
     /// The request failed; `code` is stable, `message` is for humans.

@@ -2,10 +2,13 @@
 //!
 //! One [`Server`] owns two representations of the graph: an immutable
 //! [`BipartiteGraph`] snapshot behind an `Arc` (what queries run against)
-//! and a [`DynamicBipartiteGraph`] (what updates mutate). An update applies
-//! the edge mutation, re-materializes a fresh snapshot and swaps the `Arc`
-//! — queries already running keep their old snapshot alive for free, and no
-//! query ever observes a half-applied update.
+//! and a [`DynamicBipartiteGraph`] master (what updates mutate). An update
+//! applies the edge mutation to the master and marks it dirty; the next
+//! query admission (or [`ServerHandle::snapshot`]) materializes one fresh
+//! snapshot for all the updates since the last one and swaps the `Arc`.
+//! Queries already running keep their old snapshot alive for free, no
+//! query ever observes a half-applied update, and a query admitted after
+//! an update's reply sees that update.
 //!
 //! ## Concurrency model
 //!
@@ -19,7 +22,12 @@
 //!   update, malformed input) or submit the query to the scheduler;
 //! * a fixed pool of *worker* threads runs queries through the
 //!   [`Enumerator`] facade and writes the response back on the submitting
-//!   connection (writes are serialized per connection by a mutex).
+//!   connection (writes are serialized per connection by a mutex). A query
+//!   that panics is answered with a typed [`CODE_INTERNAL`] error and the
+//!   worker lives on.
+//!
+//! Every accepted socket has `TCP_NODELAY` set and every frame leaves in
+//! one write, so no response waits for the peer's delayed ACK.
 //!
 //! ## Admission control and fairness
 //!
@@ -52,7 +60,7 @@ use kbiplex::{CollectSink, CountingSink, Enumerator, QuerySpec};
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{
     QueryRequest, Request, Response, SnapshotInfo, UpdateOp, CODE_BAD_REQUEST, CODE_BAD_UPDATE,
-    CODE_FRAME_TOO_LARGE, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
+    CODE_FRAME_TOO_LARGE, CODE_INTERNAL, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
 };
 
 /// Locks a mutex, riding over poisoning: a panicking worker must not take
@@ -136,25 +144,57 @@ impl Sched {
     }
 }
 
+/// The mutable edge set updates apply to.
+struct Master {
+    graph: DynamicBipartiteGraph,
+    /// `true` when `graph` has changed since the published snapshot was
+    /// built from it.
+    dirty: bool,
+    /// Snapshots built from `graph` so far.
+    #[cfg(test)]
+    builds: u64,
+}
+
+impl Master {
+    fn info(&self) -> SnapshotInfo {
+        SnapshotInfo {
+            left: self.graph.num_left(),
+            right: self.graph.num_right(),
+            edges: self.graph.num_edges(),
+        }
+    }
+}
+
 /// State shared by every thread of one server.
 struct Shared {
     cfg: ServeConfig,
     /// The published immutable snapshot queries run against.
     current: Mutex<Arc<BipartiteGraph>>,
-    /// The mutable edge set updates apply to.
-    dynamic: Mutex<DynamicBipartiteGraph>,
+    dynamic: Mutex<Master>,
     sched: Mutex<Sched>,
     work: Condvar,
 }
 
 impl Shared {
+    /// The snapshot of every update applied so far. The only place a
+    /// snapshot is built: when the master is dirty, it is built and
+    /// published here, under the `dynamic` lock, so any number of updates
+    /// between two calls cost one build.
     fn snapshot(&self) -> Arc<BipartiteGraph> {
+        let mut master = lock(&self.dynamic);
+        if master.dirty {
+            master.dirty = false;
+            #[cfg(test)]
+            {
+                master.builds += 1;
+            }
+            *lock(&self.current) = Arc::new(master.graph.snapshot());
+        }
+        // `current` now holds every update made before this call; one that
+        // lands after the drop may publish a newer snapshot first, which is
+        // as good.
+        drop(master);
         Arc::clone(&lock(&self.current))
-    }
-
-    fn snapshot_info(&self) -> SnapshotInfo {
-        let g = self.snapshot();
-        SnapshotInfo { left: g.num_left(), right: g.num_right(), edges: g.num_edges() }
     }
 
     /// Clamps the client's spec to the server-side caps.
@@ -200,7 +240,11 @@ fn run_query(job: &Job) -> Response {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// How a worker turns a job into its response: [`run_query`], except in
+/// tests that inject a failing one.
+type RunFn = fn(&Job) -> Response;
+
+fn worker_loop(shared: &Shared, run: RunFn) {
     loop {
         let job = {
             let mut sched = lock(&shared.sched);
@@ -214,7 +258,13 @@ fn worker_loop(shared: &Shared) {
                 sched = shared.work.wait(sched).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let resp = run_query(&job);
+        // A panicking query must not take the worker with it: `finish`
+        // has to run, or the tenant's running count never drops and
+        // fair-share starves it.
+        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&job)))
+            .unwrap_or_else(|_| {
+                error_response(job.req.id, CODE_INTERNAL, "the query panicked on the server".into())
+            });
         send(&job.out, &resp);
         lock(&shared.sched).finish(&job.req.tenant);
     }
@@ -237,32 +287,25 @@ fn handle_payload(shared: &Shared, out: &Arc<Mutex<TcpStream>>, payload: &[u8]) 
     };
     match req {
         Request::Ping { id } => {
-            send(out, &Response::Pong { id, snapshot: shared.snapshot_info() });
+            let info = lock(&shared.dynamic).info();
+            send(out, &Response::Pong { id, snapshot: info });
         }
         Request::Update { id, op, left, right } => {
-            // Updates serialize on the dynamic-graph lock; the snapshot
-            // swap happens inside it so publications are ordered.
+            // Updates serialize on the dynamic-graph lock and only edit the
+            // master; the next `Shared::snapshot` builds the snapshot.
             let mut dynamic = lock(&shared.dynamic);
             let applied = match op {
-                UpdateOp::Insert => dynamic.insert_edge(left, right),
-                UpdateOp::Delete => dynamic.delete_edge(left, right),
+                UpdateOp::Insert => dynamic.graph.insert_edge(left, right),
+                UpdateOp::Delete => dynamic.graph.delete_edge(left, right),
             };
+            if matches!(applied, Ok(true)) {
+                dynamic.dirty = true;
+            }
+            let info = dynamic.info();
+            drop(dynamic);
             match applied {
-                Ok(changed) => {
-                    let snap = Arc::new(dynamic.snapshot());
-                    let info = SnapshotInfo {
-                        left: snap.num_left(),
-                        right: snap.num_right(),
-                        edges: snap.num_edges(),
-                    };
-                    *lock(&shared.current) = snap;
-                    drop(dynamic);
-                    send(out, &Response::Updated { id, changed, snapshot: info });
-                }
-                Err(e) => {
-                    drop(dynamic);
-                    send(out, &error_response(id, CODE_BAD_UPDATE, e.to_string()));
-                }
+                Ok(changed) => send(out, &Response::Updated { id, changed, snapshot: info }),
+                Err(e) => send(out, &error_response(id, CODE_BAD_UPDATE, e.to_string())),
             }
         }
         Request::Query(mut q) => {
@@ -352,6 +395,14 @@ impl Server {
     /// Binds `cfg.addr`, publishes `graph` as the first snapshot and spawns
     /// the accept loop plus the worker pool.
     pub fn start(cfg: ServeConfig, graph: BipartiteGraph) -> std::io::Result<ServerHandle> {
+        Self::start_with(cfg, graph, run_query)
+    }
+
+    fn start_with(
+        cfg: ServeConfig,
+        graph: BipartiteGraph,
+        run: RunFn,
+    ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers_wanted = if cfg.workers == 0 {
@@ -361,7 +412,12 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cfg,
-            dynamic: Mutex::new(DynamicBipartiteGraph::from_graph(&graph)),
+            dynamic: Mutex::new(Master {
+                graph: DynamicBipartiteGraph::from_graph(&graph),
+                dirty: false,
+                #[cfg(test)]
+                builds: 0,
+            }),
             current: Mutex::new(Arc::new(graph)),
             sched: Mutex::new(Sched::default()),
             work: Condvar::new(),
@@ -372,7 +428,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("mbpe-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
+                    .spawn(move || worker_loop(&shared, run))?,
             );
         }
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -389,6 +445,9 @@ impl Server {
                     let Ok(stream) = stream else {
                         continue;
                     };
+                    // Responses are single small writes; never hold one
+                    // back waiting for an ACK.
+                    let _ = stream.set_nodelay(true);
                     if let Ok(clone) = stream.try_clone() {
                         lock(&conns).push(clone);
                     }
@@ -423,9 +482,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The currently published snapshot — what the next admitted query
-    /// will run against. Tests use this to cross-check service responses
-    /// against a direct facade run on the same graph.
+    /// The snapshot of every update applied so far — what the next
+    /// admitted query will run against. Builds and publishes it first when
+    /// updates arrived since the last build. Tests use this to cross-check
+    /// service responses against a direct facade run on the same graph.
     pub fn snapshot(&self) -> Arc<BipartiteGraph> {
         self.shared.snapshot()
     }
@@ -452,5 +512,107 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use std::time::Instant;
+
+    fn graph() -> BipartiteGraph {
+        BipartiteGraph::from_edges(4, 4, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]).unwrap()
+    }
+
+    fn builds(handle: &ServerHandle) -> u64 {
+        lock(&handle.shared.dynamic).builds
+    }
+
+    fn dirty(handle: &ServerHandle) -> bool {
+        lock(&handle.shared.dynamic).dirty
+    }
+
+    /// Panics on any query asking for exactly 13 solutions.
+    fn panics_on_limit_13(job: &Job) -> Response {
+        assert_ne!(job.req.spec.limit, Some(13), "injected query failure");
+        run_query(job)
+    }
+
+    #[test]
+    fn a_panicking_query_is_a_typed_error_and_the_worker_survives() {
+        let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let handle = Server::start_with(cfg, graph(), panics_on_limit_13).unwrap();
+        let addr = handle.addr();
+        // The client runs on its own thread so that a dead worker fails the
+        // test on the timeout instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, "fragile").unwrap();
+            let bad = QuerySpec { limit: Some(13), ..QuerySpec::default() };
+            let failed = client.query(&bad);
+            let next = client.query(&QuerySpec::default());
+            let _ = tx.send((failed, next));
+        });
+        let (failed, next) =
+            rx.recv_timeout(Duration::from_secs(20)).expect("no response after the panic");
+        let err = failed.expect_err("the injected panic");
+        assert_eq!(err.server_code(), Some(CODE_INTERNAL), "got {err}");
+
+        // The single worker is still there and serves the same tenant.
+        assert!(next.expect("query after the panic").report.solutions > 0);
+        assert_eq!(handle.workers.len(), 1);
+        assert!(handle.workers.iter().all(|w| !w.is_finished()), "a worker thread died");
+
+        // Both queries were finished, so the tenant holds no running slot.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !lock(&handle.shared.sched).running.is_empty() {
+            assert!(Instant::now() < deadline, "the tenant's running count never dropped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn k_updates_then_one_query_build_one_snapshot() {
+        let handle = Server::start(ServeConfig::default(), graph()).unwrap();
+        let mut client = Client::connect(handle.addr(), "batch").unwrap();
+        for (l, r) in [(3, 3), (3, 0), (2, 3), (0, 2)] {
+            assert!(client.insert_edge(l, r).unwrap().changed);
+        }
+        assert!(client.delete_edge(0, 0).unwrap().changed);
+        assert_eq!(builds(&handle), 0, "updates must not build snapshots");
+        assert!(dirty(&handle));
+
+        client.count(&QuerySpec::default()).unwrap();
+        assert_eq!(builds(&handle), 1, "the query admission builds once");
+        assert!(!dirty(&handle));
+
+        // A clean master publishes nothing new.
+        client.count(&QuerySpec::default()).unwrap();
+        assert_eq!(handle.snapshot().num_edges(), 8);
+        assert_eq!(builds(&handle), 1);
+
+        // The handle's snapshot is the other admission point.
+        client.delete_edge(3, 3).unwrap();
+        client.delete_edge(3, 0).unwrap();
+        assert_eq!(handle.snapshot().num_edges(), 6);
+        assert_eq!(builds(&handle), 2);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn failed_or_unchanged_updates_leave_the_master_clean() {
+        let handle = Server::start(ServeConfig::default(), graph()).unwrap();
+        let mut client = Client::connect(handle.addr(), "no-op").unwrap();
+        assert!(!client.insert_edge(0, 0).unwrap().changed);
+        assert!(!client.delete_edge(3, 3).unwrap().changed);
+        let err = client.insert_edge(99, 0).expect_err("out of range");
+        assert_eq!(err.server_code(), Some(CODE_BAD_UPDATE));
+        assert_eq!(client.ping().unwrap().edges, 5);
+        assert!(!dirty(&handle));
+        client.count(&QuerySpec::default()).unwrap();
+        assert_eq!(builds(&handle), 0);
+        handle.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the enumeration daemon: concurrent tenants
 //! cross-checked against the in-process facade, server-side budget
-//! clamping, typed overload rejection, protocol-framing failure modes and
-//! snapshot swaps under edge updates.
+//! clamping, typed overload rejection, protocol-framing failure modes,
+//! snapshot swaps under edge updates and response latency.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -305,4 +305,98 @@ fn shutdown_rejects_new_queries() {
     // with a transport error rather than hanging.
     let err = client.count(&QuerySpec::default()).expect_err("server is down");
     assert!(matches!(err, ClientError::Io(_) | ClientError::Server { .. }), "got {err}");
+}
+
+/// Sequential round trips on one connection: a response held back for the
+/// peer's delayed ACK (about 40 ms each) would put 20 pings near 800 ms.
+#[test]
+fn sequential_pings_do_not_wait_for_delayed_acks() {
+    let g = random_graph(4, 4, 60, 2);
+    let handle = start(ServeConfig::default(), &g);
+    let mut client = Client::connect(handle.addr(), "pinger").expect("connect");
+    client.ping().expect("warm-up ping");
+    let start_at = std::time::Instant::now();
+    for _ in 0..20 {
+        client.ping().expect("ping");
+    }
+    let took = start_at.elapsed();
+    assert!(took < Duration::from_millis(300), "20 pings took {took:?}");
+    handle.shutdown();
+}
+
+/// The facade's solutions on `edges`.
+fn expected_on(nl: u32, nr: u32, edges: &[(u32, u32)]) -> Vec<kbiplex::Biplex> {
+    let g = BipartiteGraph::from_edges(nl, nr, edges).expect("graph");
+    Enumerator::from_spec(&g, &QuerySpec::default()).collect().expect("direct facade run")
+}
+
+#[test]
+fn queries_read_their_writes_on_one_and_across_two_connections() {
+    let mut edges = vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)];
+    let g = BipartiteGraph::from_edges(4, 4, &edges).expect("graph");
+    let handle = start(ServeConfig::default(), &g);
+    let mut writer = Client::connect(handle.addr(), "writer").expect("connect");
+    let mut reader = Client::connect(handle.addr(), "reader").expect("connect");
+
+    for (i, (l, r)) in [(2, 2), (3, 3), (3, 2), (2, 0)].into_iter().enumerate() {
+        assert!(writer.insert_edge(l, r).expect("insert").changed);
+        edges.push((l, r));
+        let want = expected_on(4, 4, &edges);
+        // Alternate which connection asks first, so neither admission
+        // depends on the other having built the snapshot.
+        let (first, second) =
+            if i % 2 == 0 { (&mut writer, &mut reader) } else { (&mut reader, &mut writer) };
+        for client in [first, second] {
+            let got = client.query(&QuerySpec::default()).expect("query");
+            assert_eq!(
+                got.solutions.as_deref(),
+                Some(want.as_slice()),
+                "after inserting ({l}, {r})"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn update_counts_pong_and_handle_snapshot_follow_the_script() {
+    use std::collections::BTreeSet;
+
+    let g = random_graph(6, 6, 40, 17);
+    let mut model: BTreeSet<(u32, u32)> = (0..6)
+        .flat_map(|l| (0..6).map(move |r| (l, r)))
+        .filter(|&(l, r)| g.has_edge(l, r))
+        .collect();
+    let handle = start(ServeConfig::default(), &g);
+    let mut client = Client::connect(handle.addr(), "script").expect("connect");
+
+    let mut state = 5u64;
+    for step in 0..60 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let (l, r) = (((state >> 33) % 6) as u32, ((state >> 40) % 6) as u32);
+        let outcome = if step % 3 == 0 {
+            client.delete_edge(l, r).expect("delete")
+        } else {
+            client.insert_edge(l, r).expect("insert")
+        };
+        let changed = if step % 3 == 0 { model.remove(&(l, r)) } else { model.insert((l, r)) };
+        assert_eq!(outcome.changed, changed, "step {step}");
+        assert_eq!(outcome.snapshot.edges, model.len() as u64, "Updated count at step {step}");
+        if step % 7 == 0 {
+            let pong = client.ping().expect("ping");
+            assert_eq!((pong.left, pong.right, pong.edges), (6, 6, model.len() as u64));
+        }
+        if step % 11 == 0 {
+            let snap = handle.snapshot();
+            let edges: BTreeSet<(u32, u32)> = (0..6)
+                .flat_map(|l| (0..6).map(move |r| (l, r)))
+                .filter(|&(l, r)| snap.has_edge(l, r))
+                .collect();
+            assert_eq!(edges, model, "handle snapshot at step {step}");
+        }
+    }
+    let snap = handle.snapshot();
+    assert_eq!(snap.num_edges(), model.len() as u64);
+    assert!(model.iter().all(|&(l, r)| snap.has_edge(l, r)));
+    handle.shutdown();
 }

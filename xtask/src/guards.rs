@@ -59,10 +59,11 @@ pub struct LockHierarchy {
 /// The checked-in lock-order tables, one per crate that nests locks.
 ///
 /// `crates/serve`: the scheduler lock is the hottest and outermost —
-/// admission and worker pick run under `sched` alone; an update holds
-/// `dynamic` while publishing into `current` (swap-under-update keeps
-/// publications ordered), so `dynamic < current`; nothing may acquire
-/// `sched` while holding either graph lock, or re-acquire a held lock.
+/// admission and worker pick run under `sched` alone; the snapshot build
+/// holds `dynamic` while publishing into `current` (building under the
+/// master's lock keeps publications ordered), so `dynamic < current`;
+/// nothing may acquire `sched` while holding either graph lock, or
+/// re-acquire a held lock.
 pub const LOCK_HIERARCHIES: &[LockHierarchy] =
     &[LockHierarchy { scope: "crates/serve/src/", order: &["sched", "dynamic", "current"] }];
 
@@ -86,10 +87,10 @@ pub const GUARD_BLOCKING_ALLOWLIST: &[BlockingAllow] = &[BlockingAllow {
     lock: "out",
     callee: "write_frame",
     invariant: "per-connection write serialization IS this mutex's purpose: worker and \
-                connection threads interleave whole frames on one TcpStream, so the length \
-                prefix and payload must be written under one critical section; the peer \
-                draining slowly only stalls its own connection's writers, never the \
-                scheduler (no other lock is held here).",
+                connection threads interleave whole frames on one TcpStream, and one frame's \
+                `write_all` may take several `write` calls that must not interleave with \
+                another frame's; the peer draining slowly only stalls its own \
+                connection's writers, never the scheduler (no other lock is held here).",
 }];
 
 /// Blocking *method* names (`.name(` with a receiver).
