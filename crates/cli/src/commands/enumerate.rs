@@ -33,9 +33,8 @@ OPTIONS:
     --algo <A>          itraversal (default) | btraversal | large | imb |
                         inflation | parallel
     --limit <N>         Stop after delivering exactly N solutions (all
-                        engines — the parallel schedulers cancel
+                        algorithms — the parallel workers cancel
                         cooperatively)
-    --first <N>         Deprecated alias of --limit
     --time-budget <S>   Stop at the first solution after S seconds
                         (fractions allowed; not for imb/inflation)
     --theta-left <N>    Only report MBPs with at least N left vertices
@@ -46,13 +45,6 @@ OPTIONS:
     --kernel <K>        Intersection kernel: auto (default, crossover
                         heuristic) | merge | gallop | chunked | bitset —
                         an A/B switch, the solution set never changes
-    --engine <E>        Parallel scheduler: steal (default) | global
-    --seen-segments <N> Initial segment count of the parallel seen-set's
-                        bucket directory (0 = auto-size from the graph;
-                        it grows under load either way; steal engine only)
-    --steal-adaptive <B>  on (default) | off — steal one item from shallow
-                        victim deques instead of always half (steal engine
-                        only)
     --count-only        Print only the number of solutions
     --print             Print every reported solution (L= ... R= ...)
     --dataset/--scale/--full   Input selection, as for `mbpe stats`";
@@ -63,16 +55,12 @@ const OPTIONS: &[&str] = &[
     "k",
     "algo",
     "limit",
-    "first",
     "time-budget",
     "theta-left",
     "theta-right",
     "threads",
     "order",
     "kernel",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "count-only",
     "print",
     "dataset",
@@ -114,22 +102,11 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     writeln!(out, "graph: {label}  k = {}  algorithm = {algo_label}", query.k)?;
     if let EngineStats::Parallel(stats) = &report.stats {
-        let engine_name = match query.engine {
-            Engine::GlobalQueue => "GlobalQueue",
-            _ => "WorkSteal",
-        };
-        let mut info = format!(
-            "parallel: threads = {}  engine = {}  order = {}  steals = {}",
-            stats.threads, engine_name, query.order, stats.steals
-        );
-        if query.engine == Engine::WorkSteal {
-            let adaptive = if query.steal_adaptive { "on" } else { "off" };
-            info.push_str(&format!(
-                "  seen-segments = {}  steal-adaptive = {adaptive}",
-                query.seen_segments
-            ));
-        }
-        writeln!(out, "{info}")?;
+        writeln!(
+            out,
+            "parallel: threads = {}  order = {}  steals = {}",
+            stats.threads, query.order, stats.steals
+        )?;
     }
     print_summary(&args, out, solutions.len(), &report.stop.to_string(), report.elapsed, &solutions)
 }
@@ -142,7 +119,6 @@ fn run_baseline(
     algo: &str,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    spec::reject_misplaced_engine_knobs(args, algo)?;
     if args.value("order").is_some() {
         return Err(CliError::Usage(format!(
             "--order is not supported by --algo {algo} (use itraversal, btraversal, large or parallel)"
@@ -267,13 +243,11 @@ mod tests {
             capture(&["--dataset", "Divorce", "--k", "1", "--limit", "2", "--print"]).unwrap();
         assert_eq!(text.lines().filter(|l| l.starts_with("L=")).count(), 2);
         assert!(text.contains("stop: limit-reached"), "{text}");
-        // --first stays as the deprecated alias; combining both is a usage
-        // error.
-        let text = capture(&["--dataset", "Divorce", "--k", "1", "--first", "2"]).unwrap();
-        assert_eq!(parse(&text), 2);
+        // The removed --first alias is an unknown option.
+        let err = capture(&["--dataset", "Divorce", "--k", "1", "--first", "2"]).unwrap_err();
         assert!(
-            capture(&["--dataset", "Divorce", "--first", "2", "--limit", "2"]).is_err(),
-            "--first and --limit together must be rejected"
+            matches!(&err, CliError::Usage(m) if m.contains("unknown option --first")),
+            "{err}"
         );
         // The work-steal engine cancels cooperatively: exactly 2 delivered.
         let text = capture(&[
@@ -399,70 +373,42 @@ mod tests {
             let text = capture(&["--dataset", "Divorce", "--k", "1", "--order", order]).unwrap();
             assert_eq!(parse(&text), parse(&baseline), "order {order}");
         }
-        for engine in ["steal", "global"] {
-            let text = capture(&[
-                "--dataset",
-                "Divorce",
-                "--k",
-                "1",
-                "--algo",
-                "parallel",
-                "--threads",
-                "2",
-                "--engine",
-                engine,
-                "--order",
-                "degeneracy",
-            ])
-            .unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "engine {engine}");
-            assert!(text.contains("parallel: threads = 2"), "engine {engine}");
-        }
+        let text = capture(&[
+            "--dataset",
+            "Divorce",
+            "--k",
+            "1",
+            "--algo",
+            "parallel",
+            "--threads",
+            "2",
+            "--order",
+            "degeneracy",
+        ])
+        .unwrap();
+        assert_eq!(parse(&text), parse(&baseline));
+        assert!(text.contains("parallel: threads = 2  order = degeneracy"), "{text}");
         assert!(capture(&["--dataset", "Divorce", "--order", "fancy"]).is_err());
         assert!(capture(&["--dataset", "Divorce", "--algo", "imb", "--order", "degree"]).is_err());
-        assert!(
-            capture(&["--dataset", "Divorce", "--algo", "parallel", "--engine", "bogus"]).is_err()
-        );
-        // --engine on a sequential algorithm is a usage error, not a no-op.
-        assert!(capture(&["--dataset", "Divorce", "--engine", "steal"]).is_err());
+        // There is one parallel scheduler, so no --engine option to pick one.
+        for engine in ["steal", "global"] {
+            let flags = ["--dataset", "Divorce", "--algo", "parallel", "--engine", engine];
+            let err = capture(&flags).unwrap_err();
+            assert!(matches!(&err, CliError::Usage(m) if m.contains("--engine")), "{err}");
+        }
     }
 
     #[test]
     fn seen_and_steal_knobs() {
-        let baseline = capture(&["--dataset", "Divorce", "--k", "1"]).unwrap();
-        for (segments, adaptive) in [("0", "on"), ("1", "off"), ("4", "on")] {
-            let text = capture(&[
-                "--dataset",
-                "Divorce",
-                "--k",
-                "1",
-                "--algo",
-                "parallel",
-                "--threads",
-                "4",
-                "--seen-segments",
-                segments,
-                "--steal-adaptive",
-                adaptive,
-            ])
-            .unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "segments {segments} adaptive {adaptive}");
-            assert!(text.contains(&format!("seen-segments = {segments}")), "knobs echoed: {text}");
-            assert!(text.contains(&format!("steal-adaptive = {adaptive}")), "knobs echoed: {text}");
+        // The scheduler's seen-set sizing and steal granularity are
+        // constants; the options that tuned them are unknown now.
+        for (knob, value) in [("--seen-segments", "2"), ("--steal-adaptive", "off")] {
+            let flags = ["--dataset", "Divorce", "--algo", "parallel", knob, value];
+            let err = capture(&flags).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m.contains(&format!("unknown option {knob}"))),
+                "{err}"
+            );
         }
-        // Bad values and sequential algorithms are usage errors, not no-ops.
-        let bad = &["--dataset", "Divorce", "--algo", "parallel", "--steal-adaptive", "maybe"];
-        assert!(capture(bad).is_err());
-        assert!(capture(&["--dataset", "Divorce", "--seen-segments", "2"]).is_err());
-        assert!(capture(&["--dataset", "Divorce", "--steal-adaptive", "off"]).is_err());
-        // So is combining the knobs with the global-queue engine, which has
-        // its own sharded seen-set and no steal path.
-        let global = &["--dataset", "Divorce", "--algo", "parallel", "--engine", "global"];
-        assert!(capture(&[global as &[_], &["--seen-segments", "2"]].concat()).is_err());
-        assert!(capture(&[global as &[_], &["--steal-adaptive", "off"]].concat()).is_err());
-        // The global engine's run header omits the inapplicable knobs.
-        let text = capture(global).unwrap();
-        assert!(text.contains("engine = GlobalQueue"), "{text}");
-        assert!(!text.contains("seen-segments"), "{text}");
     }
 }

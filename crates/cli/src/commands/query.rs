@@ -36,9 +36,8 @@ OPTIONS:
 
 The query-shaping options below are listed by `mbpe help enumerate` and
 mean the same thing here (the server runs the identical QuerySpec):
-    --spec --k --algo --limit --first --time-budget --theta-left
-    --theta-right --threads --order --engine --seen-segments
-    --steal-adaptive --kernel";
+    --spec --k --algo --limit --time-budget --theta-left --theta-right
+    --threads --order --kernel";
 
 const OPTIONS: &[&str] = &[
     "addr",
@@ -54,15 +53,11 @@ const OPTIONS: &[&str] = &[
     "k",
     "algo",
     "limit",
-    "first",
     "time-budget",
     "theta-left",
     "theta-right",
     "threads",
     "order",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "kernel",
 ];
 const FLAGS: &[&str] = &["ping", "count-only", "print", "show-spec"];

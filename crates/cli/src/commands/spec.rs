@@ -19,15 +19,11 @@ pub const SPEC_OPTIONS: &[&str] = &[
     "k",
     "algo",
     "limit",
-    "first",
     "time-budget",
     "theta-left",
     "theta-right",
     "threads",
     "order",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "kernel",
 ];
 
@@ -56,53 +52,12 @@ pub fn parse_seconds(args: &Args, name: &str) -> Result<Option<Duration>, CliErr
     }
 }
 
-/// Parses `--limit` (or its deprecated alias `--first`).
+/// Parses `--limit`.
 pub fn parse_limit(args: &Args) -> Result<Option<u64>, CliError> {
-    if args.value("limit").is_some() && args.value("first").is_some() {
-        return Err(CliError::Usage(
-            "--first is the deprecated alias of --limit; give only one of them".to_string(),
-        ));
-    }
-    match args.value("limit").or_else(|| args.value("first")) {
+    match args.value("limit") {
         None => Ok(None),
         Some(v) => Ok(Some(v.parse().map_err(|_| CliError::Usage(format!("bad --limit {v:?}")))?)),
     }
-}
-
-fn parse_steal_adaptive(args: &Args) -> Result<bool, CliError> {
-    match args.value("steal-adaptive") {
-        None | Some("on" | "true" | "1") => Ok(true),
-        Some("off" | "false" | "0") => Ok(false),
-        Some(raw) => {
-            Err(CliError::Usage(format!("--steal-adaptive expects on or off, got {raw:?}")))
-        }
-    }
-}
-
-/// Rejects the parallel-only knobs when `algo` is not `parallel`, and the
-/// steal-only knobs on the global-queue engine. Shared with the baseline
-/// paths of `enumerate`, which never build a spec.
-pub fn reject_misplaced_engine_knobs(args: &Args, algo: &str) -> Result<(), CliError> {
-    for opt in ["engine", "seen-segments", "steal-adaptive"] {
-        if args.value(opt).is_some() && algo != "parallel" {
-            return Err(CliError::Usage(format!(
-                "--{opt} only applies to --algo parallel (got --algo {algo})"
-            )));
-        }
-    }
-    // The global-queue engine has its own mutex-sharded seen-set and no
-    // steal path; silently accepting (and echoing) the knobs would present
-    // a no-op as applied.
-    if algo == "parallel" && args.value("engine") == Some("global") {
-        for opt in ["seen-segments", "steal-adaptive"] {
-            if args.value(opt).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--{opt} only applies to --engine steal (got --engine global)"
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Builds the query from the command line: either the `--spec` JSON
@@ -125,7 +80,6 @@ pub fn spec_from_args(args: &Args) -> Result<QuerySpec, CliError> {
     }
 
     let algo = algo_name(args);
-    reject_misplaced_engine_knobs(args, algo)?;
     let mut spec = QuerySpec {
         k: args.parse_or("k", 1)?,
         theta_left: args.parse_or("theta-left", 0)?,
@@ -148,20 +102,8 @@ pub fn spec_from_args(args: &Args) -> Result<QuerySpec, CliError> {
         "large" => spec.algorithm = Algorithm::Large,
         "parallel" => {
             spec.algorithm = Algorithm::ITraversal;
-            spec.engine = match args.value("engine") {
-                None | Some("steal") => Engine::WorkSteal,
-                Some("global") => Engine::GlobalQueue,
-                Some(raw) => {
-                    return Err(CliError::Usage(format!(
-                        "--engine expects steal or global, got {raw:?}"
-                    )))
-                }
-            };
+            spec.engine = Engine::WorkSteal;
             spec.threads = args.parse_or("threads", 0)?;
-            if spec.engine == Engine::WorkSteal {
-                spec.seen_segments = args.parse_or("seen-segments", 0)?;
-                spec.steal_adaptive = parse_steal_adaptive(args)?;
-            }
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -205,17 +147,17 @@ mod tests {
         let spec = spec_from_args(&args(&["--algo", "parallel", "--threads", "2"], &[])).unwrap();
         assert_eq!(spec.engine, Engine::WorkSteal);
         assert_eq!(spec.threads, 2);
-        let spec =
-            spec_from_args(&args(&["--algo", "parallel", "--engine", "global"], &[])).unwrap();
-        assert_eq!(spec.engine, Engine::GlobalQueue);
+        let spec = spec_from_args(&args(&["--algo", "large"], &[])).unwrap();
+        assert_eq!(spec.engine, Engine::Sequential);
     }
 
     #[test]
     fn misplaced_knobs_are_usage_errors() {
-        assert!(spec_from_args(&args(&["--engine", "steal"], &[])).is_err());
-        assert!(spec_from_args(&args(&["--seen-segments", "2"], &[])).is_err());
-        let global = &["--algo", "parallel", "--engine", "global", "--steal-adaptive", "off"];
-        assert!(spec_from_args(&args(global, &[])).is_err());
+        // The scheduler options and the `--first` alias are not query
+        // options, so `enumerate` and `query` reject them as unknown.
+        for retired in ["engine", "seen-segments", "steal-adaptive", "first"] {
+            assert!(!SPEC_OPTIONS.contains(&retired), "--{retired}");
+        }
     }
 
     #[test]

@@ -48,36 +48,25 @@ fn enumerate_prints_well_formed_solutions() {
     assert!(text.contains("stop: limit-reached"), "the run header echoes the stop reason: {text}");
 }
 
-#[test]
-fn first_is_a_deprecated_alias_of_limit() {
-    // `--first N` must behave exactly like `--limit N`.
-    let via_first = run(&["enumerate", &tiny_graph(), "--k", "1", "--first", "2", "--print"]);
-    let via_limit = run(&["enumerate", &tiny_graph(), "--k", "1", "--limit", "2", "--print"]);
-    let solutions = |text: &str| text.lines().filter(|l| l.starts_with("L=")).count();
-    assert_eq!(solutions(&via_first), solutions(&via_limit), "--first maps onto --limit");
-    assert!(
-        via_first.contains("stop: limit-reached"),
-        "the alias reaches the same stop reason: {via_first}"
-    );
-
-    // Passing both spellings at once is ambiguous and must be rejected as a
-    // usage error, not silently resolved.
-    let raw: Vec<String> = ["enumerate", &tiny_graph(), "--k", "1", "--first", "2", "--limit", "3"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut out = Vec::new();
-    match mbpe_cli::run(&raw, &mut out) {
-        Err(mbpe_cli::CliError::Usage(msg)) => {
-            assert!(msg.contains("--first"), "the error names the deprecated flag: {msg}");
-            assert!(msg.contains("--limit"), "the error names the canonical flag: {msg}");
-        }
-        other => panic!("--first + --limit must be a usage error, got {other:?}"),
+/// Runs the CLI with `tokens` and returns the usage error it must fail with.
+fn usage_error(tokens: &[&str]) -> String {
+    let raw: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+    match mbpe_cli::run(&raw, &mut Vec::new()) {
+        Err(mbpe_cli::CliError::Usage(msg)) => msg,
+        other => panic!("{tokens:?} must be a usage error, got {other:?}"),
     }
 }
 
 #[test]
-fn parallel_seen_and_steal_flags_match_the_sequential_count() {
+fn first_is_an_unknown_option() {
+    // The deprecated `--first` alias is gone: `--limit` is the only
+    // spelling, and the old one is rejected rather than ignored.
+    let msg = usage_error(&["enumerate", &tiny_graph(), "--k", "1", "--first", "2"]);
+    assert!(msg.contains("unknown option --first"), "{msg}");
+}
+
+#[test]
+fn parallel_engine_matches_the_sequential_count() {
     let sequential = run(&["enumerate", &tiny_graph(), "--k", "1", "--count-only"]);
     let count = |text: &str| -> usize {
         text.lines()
@@ -85,7 +74,7 @@ fn parallel_seen_and_steal_flags_match_the_sequential_count() {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("no solution count in: {text}"))
     };
-    for (segments, adaptive) in [("0", "on"), ("1", "off"), ("2", "on"), ("1", "on")] {
+    for threads in ["1", "2", "4"] {
         let text = run(&[
             "enumerate",
             &tiny_graph(),
@@ -94,23 +83,19 @@ fn parallel_seen_and_steal_flags_match_the_sequential_count() {
             "--algo",
             "parallel",
             "--threads",
-            "4",
-            "--seen-segments",
-            segments,
-            "--steal-adaptive",
-            adaptive,
+            threads,
             "--count-only",
         ]);
-        assert_eq!(
-            count(&text),
-            count(&sequential),
-            "--seen-segments {segments} --steal-adaptive {adaptive}: {text}"
-        );
-        assert!(
-            text.contains(&format!("seen-segments = {segments}"))
-                && text.contains(&format!("steal-adaptive = {adaptive}")),
-            "run header echoes the knobs: {text}"
-        );
+        assert_eq!(count(&text), count(&sequential), "--threads {threads}: {text}");
+        assert!(text.contains(&format!("parallel: threads = {threads}")), "{text}");
+    }
+    // The scheduler and its tuning knobs are not options.
+    for (option, value) in
+        [("--engine", "global"), ("--seen-segments", "2"), ("--steal-adaptive", "off")]
+    {
+        let tokens = ["enumerate", &tiny_graph(), "--algo", "parallel", option, value];
+        let msg = usage_error(&tokens);
+        assert!(msg.contains(&format!("unknown option {option}")), "{msg}");
     }
 }
 

@@ -80,7 +80,7 @@ impl Biplex {
     }
 
     /// Maps a solution found on a relabeled graph back to the original
-    /// vertex ids. Both the sequential and the parallel engines route their
+    /// vertex ids. Both the sequential and the parallel engine route their
     /// [`VertexOrder`](bigraph::order::VertexOrder) handling through this,
     /// so the inverse mapping lives in exactly one place.
     pub fn map_back(&self, relabeling: &bigraph::order::Relabeling) -> Biplex {

@@ -61,10 +61,11 @@ pub struct DynamicConfig {
     pub theta_left: usize,
     /// Minimum right-side size `θ_R` of maintained solutions (0 = no bound).
     pub theta_right: usize,
-    /// Engine used for the (re-)enumeration runs. Parallel engines only pay
-    /// off when individual regions are large; the default is sequential.
+    /// Engine used for the (re-)enumeration runs. The parallel engine only
+    /// pays off when individual regions are large; the default is
+    /// sequential.
     pub engine: Engine,
-    /// Worker threads for the parallel engines (0 = automatic). Must be 0
+    /// Worker threads for the parallel engine (0 = automatic). Must be 0
     /// when `engine` is [`Engine::Sequential`].
     pub threads: usize,
 }

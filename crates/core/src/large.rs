@@ -110,7 +110,7 @@ pub struct ParLargeMbpReport {
 }
 
 /// The parallel large-MBP pipeline behind the facade: the same (θ−k)-core
-/// reduction, then the parallel engines with the size thresholds pushed into
+/// reduction, then the parallel engine with the size thresholds pushed into
 /// the search. In collect mode (no emit hook on `rt`) the large MBPs come
 /// back in original ids, sorted canonically; in streaming mode they go
 /// through the emit hook (already translated) and the vector is empty.

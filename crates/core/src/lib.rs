@@ -37,7 +37,7 @@
 //!   `bTraversal` (Algorithm 1) and `iTraversal` (Algorithm 2) with the
 //!   left-anchored, right-shrinking and exclusion-strategy prunings as
 //!   individually toggleable options. Its per-(host, candidate)
-//!   `iThreeStep` is a crate-internal routine that the parallel engines and
+//!   `iThreeStep` is a crate-internal routine that the parallel engine and
 //!   the asymmetric enumeration run too.
 //! * [`mod@enum_almost_sat`] — the `EnumAlmostSat` procedure (Section 4) in its
 //!   four refined variants plus the inflation-based baseline (Figure 12).
@@ -91,7 +91,7 @@ pub use enum_almost_sat::{enum_almost_sat, AlmostSatStats, EnumKind};
 pub use json::{Json, JsonError};
 pub use large::{LargeMbpParams, LargeMbpReport, ParLargeMbpReport};
 pub use parallel::seen::ConcurrentSeenSet;
-pub use parallel::{ParallelConfig, ParallelEngine, ParallelStats};
+pub use parallel::{ParallelConfig, ParallelStats};
 pub use sink::{
     CollectSink, Control, CountingSink, DelayRecorder, DelayReport, FirstN, SizeFilter,
     SolutionSink,

@@ -1,38 +1,30 @@
 //! Thread-parallel maximal k-biplex enumeration.
 //!
 //! The paper's conclusion lists *"efficient parallel and distributed
-//! implementations"* as future work; this module provides two shared-memory
-//! parallel engines for `iTraversal`. The solution-graph exploration is an
+//! implementations"* as future work; this module provides a shared-memory
+//! parallel engine for `iTraversal`. The solution-graph exploration is an
 //! irregular graph traversal, which parallelises naturally: every discovered
 //! solution becomes a work item, and expanding a solution (one `iThreeStep`
 //! invocation — forming almost-satisfying graphs, enumerating local
 //! solutions, extending them and de-duplicating) is independent of every
 //! other expansion apart from the shared *seen* set.
 //!
-//! Engines ([`ParallelEngine`]):
+//! The scheduler is [`work_steal`]: per-worker LIFO deques; a worker
+//! pushes the solutions it discovers onto its own deque and pops from the
+//! same end (depth-first, cache-warm), and steals from the old end of a
+//! random victim's deque when it runs dry — one item from a shallow victim,
+//! the oldest half of a deep one. De-duplication goes through the
+//! mutex-sharded [`seen::ConcurrentSeenSet`], and results are handed to the
+//! shared output vector in batches to keep the output lock out of the hot
+//! path.
 //!
-//! * **Work stealing** (default, [`work_steal`]) — per-worker LIFO deques;
-//!   a worker pushes the solutions it discovers onto its own deque and pops
-//!   from the same end (depth-first, cache-warm), and steals from the old
-//!   end of a random victim's deque when it runs dry — one item from a
-//!   shallow victim, the oldest half of a deep one (adaptive granularity,
-//!   [`ParallelConfig::steal_adaptive`]). De-duplication goes through a
-//!   lock-free [`seen::ConcurrentSeenSet`] (atomic-swap bucket chains
-//!   behind a segmented directory that grows under load), and results are
-//!   handed to the shared output vector in batches to keep the output lock
-//!   out of the hot path.
-//! * **Global queue** ([`global_queue`]) — the original engine: one
-//!   mutex+condvar-protected LIFO work queue and a 64-way mutex-sharded
-//!   seen-set. Kept as the measured baseline of the scaling benchmarks
-//!   (`BENCH_parallel.json`).
-//!
-//! Both engines expand a solution with the same per-host loop
-//! (`expand_solution`): every left vertex outside the host, in ascending
-//! order, goes through the crate's one three-step — the routine the
-//! sequential engine runs too — under the left-anchored + right-shrinking
-//! `iTraversal` rules (those prunings' correctness arguments never reference
-//! the order in which solutions are expanded). The schedulers only supply
-//! the per-link callback, a claim in their concurrent seen-set. The
+//! A worker expands a solution with one per-host loop (`expand_solution`):
+//! every left vertex outside the host, in ascending order, goes through the
+//! crate's one three-step — the routine the sequential engine runs too —
+//! under the left-anchored + right-shrinking `iTraversal` rules (those
+//! prunings' correctness arguments never reference the order in which
+//! solutions are expanded). The scheduler only supplies the per-link
+//! callback, a claim in the concurrent seen-set. The
 //! sequential engine's *full* exclusion strategy is inherently
 //! order-dependent — ℰ(H) inherits the completed sibling branches of every
 //! ancestor — and stays disabled; in its place the loop hands the step a
@@ -60,18 +52,17 @@
 //! canonically sorted set.
 //!
 //! A [`VertexOrder`] relabeling pass can be applied up front (see
-//! [`bigraph::order`]): the engines then run on the relabeled graph and the
+//! [`bigraph::order`]): the engine then runs on the relabeled graph and the
 //! solutions are mapped back to the original ids on the way out.
 //!
-//! Both engines support *cooperative cancellation*: the facade
-//! ([`crate::api::Enumerator`]) hands them a shared `AtomicBool` which the
+//! The engine supports *cooperative cancellation*: the facade
+//! ([`crate::api::Enumerator`]) hands it a shared `AtomicBool` which the
 //! workers poll at steal/expand boundaries (and between local solutions of
 //! one expansion), so early-stopping "first N" and time-budgeted runs stop
 //! within one expansion instead of running to completion. Streaming
 //! delivery goes through an optional per-solution callback instead of the
 //! collected output vector.
 
-pub mod global_queue;
 pub mod seen;
 pub mod work_steal;
 
@@ -157,28 +148,6 @@ impl ParRuntime<'_> {
     }
 }
 
-/// Which parallel scheduler executes the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ParallelEngine {
-    /// Per-worker LIFO deques with random stealing (default).
-    #[default]
-    WorkSteal,
-    /// The original single mutex+condvar work queue (benchmark baseline).
-    GlobalQueue,
-}
-
-impl std::str::FromStr for ParallelEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "steal" | "work-steal" => Ok(ParallelEngine::WorkSteal),
-            "global" | "global-queue" => Ok(ParallelEngine::GlobalQueue),
-            other => Err(format!("unknown parallel engine {other:?} (expected steal or global)")),
-        }
-    }
-}
-
 /// Configuration of a parallel enumeration run.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
@@ -195,23 +164,6 @@ pub struct ParallelConfig {
     pub theta_right: usize,
     /// Vertex relabeling applied before the run (solutions are mapped back).
     pub order: VertexOrder,
-    /// Scheduler implementation.
-    pub engine: ParallelEngine,
-    /// Number of reported solutions a worker buffers locally before taking
-    /// the shared output lock (work-stealing engine only).
-    pub result_batch: usize,
-    /// Initial segment count of the seen-set's bucket directory
-    /// (work-stealing engine only). `0` means "size from the graph"; any
-    /// other value pre-publishes that many [`seen::SEGMENT_BUCKETS`]-bucket
-    /// segments (rounded up to a power of two, capped at
-    /// [`seen::MAX_SEGMENTS`]). Either way the directory keeps growing
-    /// under load — the knob only moves the starting point.
-    pub seen_segments: usize,
-    /// Adaptive steal granularity (work-stealing engine only, default on):
-    /// steal a single item from a victim deque at most
-    /// [`work_steal::STEAL_SHALLOW`] deep, the oldest half otherwise.
-    /// `false` always steals half, the previous fixed policy.
-    pub steal_adaptive: bool,
     /// Intersection kernel installed on every worker thread
     /// ([`Kernel::Auto`] applies the measured crossover heuristic; the rest
     /// force one kernel for `--kernel` A/B runs).
@@ -220,7 +172,7 @@ pub struct ParallelConfig {
 
 impl ParallelConfig {
     /// Default configuration: `L2.0+R2.0` local enumeration, OS-chosen
-    /// thread count, no size thresholds, input order, work stealing.
+    /// thread count, no size thresholds, input order.
     pub fn new(k: usize) -> Self {
         ParallelConfig {
             k,
@@ -229,10 +181,6 @@ impl ParallelConfig {
             theta_left: 0,
             theta_right: 0,
             order: VertexOrder::Input,
-            engine: ParallelEngine::WorkSteal,
-            result_batch: 64,
-            seen_segments: 0,
-            steal_adaptive: true,
             kernel: Kernel::Auto,
         }
     }
@@ -259,26 +207,6 @@ impl ParallelConfig {
     /// Selects the vertex relabeling pass.
     pub fn with_order(mut self, order: VertexOrder) -> Self {
         self.order = order;
-        self
-    }
-
-    /// Selects the scheduler engine.
-    pub fn with_engine(mut self, engine: ParallelEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the seen-set's initial segment count (`0` = size from the
-    /// graph). See [`ParallelConfig::seen_segments`].
-    pub fn with_seen_segments(mut self, segments: usize) -> Self {
-        self.seen_segments = segments;
-        self
-    }
-
-    /// Toggles adaptive steal granularity. See
-    /// [`ParallelConfig::steal_adaptive`].
-    pub fn with_steal_adaptive(mut self, adaptive: bool) -> Self {
-        self.steal_adaptive = adaptive;
         self
     }
 
@@ -309,7 +237,7 @@ pub struct ParallelStats {
     pub local_solutions: u64,
     /// Solution-graph links followed (including duplicates).
     pub links: u64,
-    /// Successful steal operations (work-stealing engine; 0 otherwise).
+    /// Successful steal operations.
     pub steals: u64,
     /// Worker threads actually used.
     pub threads: usize,
@@ -330,10 +258,10 @@ impl ParallelStats {
     }
 }
 
-/// Expands one solution — the per-host candidate loop shared by both
-/// engines. Every left vertex outside `host` goes through the three-step
-/// with the host-local exclusion set (see the module docs); the
-/// scheduler-specific parts are injected:
+/// Expands one solution — the per-host candidate loop of every worker.
+/// Every left vertex outside `host` goes through the three-step with the
+/// host-local exclusion set (see the module docs); the scheduler's parts
+/// are injected:
 ///
 /// * `claim` inserts a solution into the concurrent seen-set, returning
 ///   `true` exactly once per distinct solution across all workers;
@@ -392,11 +320,11 @@ pub(crate) fn expand_solution(
     }
 }
 
-/// Engine dispatch plus the relabeling pass behind the
-/// [`crate::api::Enumerator`] facade. A relabeling pass
-/// runs the engines on the permuted graph and maps the solutions back (in
-/// collect mode through the output vector, in streaming mode by wrapping the
-/// emit callback); the canonical solution set is unchanged.
+/// The parallel run plus the relabeling pass behind the
+/// [`crate::api::Enumerator`] facade. A relabeling pass runs the engine on
+/// the permuted graph and maps the solutions back (in collect mode through
+/// the output vector, in streaming mode by wrapping the emit callback); the
+/// canonical solution set is unchanged.
 pub(crate) fn par_run(
     g: &BipartiteGraph,
     config: &ParallelConfig,
@@ -423,10 +351,7 @@ pub(crate) fn par_run(
         .with_enum_kind(config.enum_kind)
         .with_thresholds(config.theta_left, config.theta_right);
     let step = ThreeStep { g, gt: None, rules: &rules, budget: KPair::symmetric(config.k) };
-    match config.engine {
-        ParallelEngine::WorkSteal => work_steal::run(&step, config, rt),
-        ParallelEngine::GlobalQueue => global_queue::run(&step, config, rt),
-    }
+    work_steal::run(&step, config, rt)
 }
 
 #[cfg(test)]
@@ -436,7 +361,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The engines under their default runtime (no emit hook, no cancel).
+    /// The engine under its default runtime (no emit hook, no cancel).
     fn par_enumerate_mbps(
         g: &BipartiteGraph,
         cfg: &ParallelConfig,
@@ -457,21 +382,17 @@ mod tests {
         BipartiteGraph::from_edges(nl, nr, &edges).unwrap()
     }
 
-    const ENGINES: [ParallelEngine; 2] = [ParallelEngine::WorkSteal, ParallelEngine::GlobalQueue];
-
     #[test]
     fn parallel_matches_sequential_on_random_graphs() {
         for seed in 0..10u64 {
             let g = random_graph(6, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
-                for engine in ENGINES {
-                    for threads in [1, 2, 4] {
-                        let cfg = ParallelConfig::new(k).with_threads(threads).with_engine(engine);
-                        let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                        got.sort();
-                        assert_eq!(got, expected, "seed {seed} k {k} threads {threads} {engine:?}");
-                    }
+                for threads in [1, 2, 4] {
+                    let cfg = ParallelConfig::new(k).with_threads(threads);
+                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                    got.sort();
+                    assert_eq!(got, expected, "seed {seed} k {k} threads {threads}");
                 }
             }
         }
@@ -495,14 +416,12 @@ mod tests {
     #[test]
     fn parallel_stats_are_consistent() {
         let g = random_graph(7, 7, 0.5, 3);
-        for engine in ENGINES {
-            let cfg = ParallelConfig::new(1).with_threads(3).with_engine(engine);
-            let (results, stats) = par_enumerate_mbps(&g, &cfg);
-            assert_eq!(stats.solutions, results.len() as u64, "{engine:?}");
-            assert_eq!(stats.reported, stats.solutions, "{engine:?}");
-            assert!(stats.links >= stats.solutions.saturating_sub(1), "{engine:?}");
-            assert_eq!(stats.threads, 3, "{engine:?}");
-        }
+        let cfg = ParallelConfig::new(1).with_threads(3);
+        let (results, stats) = par_enumerate_mbps(&g, &cfg);
+        assert_eq!(stats.solutions, results.len() as u64);
+        assert_eq!(stats.reported, stats.solutions);
+        assert!(stats.links >= stats.solutions.saturating_sub(1));
+        assert_eq!(stats.threads, 3);
     }
 
     #[test]
@@ -518,15 +437,10 @@ mod tests {
                     .cloned()
                     .collect();
                 expected.sort();
-                for engine in ENGINES {
-                    let cfg = ParallelConfig::new(k)
-                        .with_threads(4)
-                        .with_thresholds(tl, tr)
-                        .with_engine(engine);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} θ=({tl},{tr}) {engine:?}");
-                }
+                let cfg = ParallelConfig::new(k).with_threads(4).with_thresholds(tl, tr);
+                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                got.sort();
+                assert_eq!(got, expected, "seed {seed} θ=({tl},{tr})");
             }
         }
     }
@@ -546,37 +460,33 @@ mod tests {
 
     #[test]
     fn degenerate_graphs() {
-        for engine in ENGINES {
-            let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
-            let cfg = ParallelConfig::new(1).with_threads(2).with_engine(engine);
-            let (got, _) = par_enumerate_mbps(&g, &cfg);
-            assert_eq!(got.len(), 1, "{engine:?}");
-            assert!(got[0].is_empty(), "{engine:?}");
+        let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
+        let cfg = ParallelConfig::new(1).with_threads(2);
+        let (got, _) = par_enumerate_mbps(&g, &cfg);
+        assert_eq!(got.len(), 1);
+        assert!(got[0].is_empty());
 
-            let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
-            for k in 0..=2usize {
-                let cfg = ParallelConfig::new(k).with_threads(2).with_engine(engine);
-                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                got.sort();
-                assert_eq!(got, enumerate_all(&g, k), "k {k} {engine:?}");
-            }
+        let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
+        for k in 0..=2usize {
+            let cfg = ParallelConfig::new(k).with_threads(2);
+            let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+            got.sort();
+            assert_eq!(got, enumerate_all(&g, k), "k {k}");
         }
     }
 
     #[test]
     fn host_local_exclusion_is_oracle_checked_against_sequential() {
         // The exclusion must change only the link counts, never the
-        // solution set — on either engine, at any thread count.
+        // solution set, at any thread count.
         for seed in 0..8u64 {
             let g = random_graph(7, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
-                for engine in ENGINES {
-                    let cfg = ParallelConfig::new(k).with_threads(3).with_engine(engine);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} k {k} {engine:?}");
-                }
+                let cfg = ParallelConfig::new(k).with_threads(3);
+                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                got.sort();
+                assert_eq!(got, expected, "seed {seed} k {k}");
             }
         }
     }
@@ -616,16 +526,11 @@ mod tests {
             let g = random_graph(7, 7, 0.5, seed);
             let k = 1;
             let expected = enumerate_all(&g, k);
-            for engine in ENGINES {
-                for kernel in Kernel::ALL {
-                    let cfg = ParallelConfig::new(k)
-                        .with_threads(2)
-                        .with_engine(engine)
-                        .with_kernel(kernel);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} {engine:?} kernel {kernel}");
-                }
+            for kernel in Kernel::ALL {
+                let cfg = ParallelConfig::new(k).with_threads(2).with_kernel(kernel);
+                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                got.sort();
+                assert_eq!(got, expected, "seed {seed} kernel {kernel}");
             }
         }
     }
@@ -634,12 +539,5 @@ mod tests {
     fn auto_thread_count_resolves() {
         let cfg = ParallelConfig::new(1);
         assert!(cfg.resolved_threads() >= 1);
-    }
-
-    #[test]
-    fn engine_parsing() {
-        assert_eq!("steal".parse::<ParallelEngine>().unwrap(), ParallelEngine::WorkSteal);
-        assert_eq!("global".parse::<ParallelEngine>().unwrap(), ParallelEngine::GlobalQueue);
-        assert!("quantum".parse::<ParallelEngine>().is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! The work-stealing scheduler.
+//! The work-stealing scheduler — the parallel engine's only scheduler.
 //!
 //! Every worker owns a LIFO deque of pending solutions. Expanding a
 //! solution pushes the newly discovered solutions onto the *owner's* deque;
@@ -8,11 +8,10 @@
 //! random victim and steals from the *old* end of its deque — the items
 //! closest to the root of the victim's DFS, which head the largest
 //! unexplored subtrees — amortising one steal over many subsequent local
-//! pops. The steal *granularity* adapts to the victim's depth when
-//! [`ParallelConfig::steal_adaptive`] is on (the default): a deque at most
-//! [`STEAL_SHALLOW`] deep gives up a single item (grabbing half of almost
-//! nothing just moves the starvation to the victim and bounces the same
-//! items between deques), a deeper one gives up its oldest half.
+//! pops. The steal *granularity* adapts to the victim's depth: a deque at
+//! most [`STEAL_SHALLOW`] deep gives up a single item (grabbing half of
+//! almost nothing just moves the starvation to the victim and bounces the
+//! same items between deques), a deeper one gives up its oldest half.
 //!
 //! Termination uses a single pending-work counter: it is incremented
 //! *before* an item becomes visible in any deque and decremented only
@@ -21,9 +20,9 @@
 //! new work can appear. Idle workers spin briefly, then yield, then sleep
 //! in microsecond steps until work reappears or the counter hits zero.
 //!
-//! De-duplication goes through the lock-free [`ConcurrentSeenSet`]; reported
+//! De-duplication goes through the sharded [`ConcurrentSeenSet`]; reported
 //! solutions are buffered per worker and appended to the shared output
-//! vector in batches of [`ParallelConfig::result_batch`].
+//! vector in batches of 64.
 
 use std::collections::VecDeque;
 use std::sync::PoisonError;
@@ -31,16 +30,20 @@ use std::sync::PoisonError;
 use crate::sync::atomic::AtomicUsize;
 use crate::sync::{hint, order, plock, thread, Mutex};
 
-use super::seen::{ConcurrentSeenSet, SEGMENT_BUCKETS};
+use super::seen::ConcurrentSeenSet;
 use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats};
 use crate::biplex::Biplex;
 use crate::initial::initial_left_anchored;
 use crate::stats::TraversalStats;
 use crate::three_step::ThreeStep;
 
-/// Victim-deque depth at or below which an adaptive steal takes one item
-/// instead of half.
+/// Victim-deque depth at or below which a steal takes one item instead of
+/// half.
 pub const STEAL_SHALLOW: usize = 4;
+
+/// Reported solutions a worker buffers locally before taking the shared
+/// output lock.
+const RESULT_BATCH: usize = 64;
 
 /// Runs the work-stealing enumeration. Called through [`super::par_run`].
 /// The [`ParRuntime`] cancellation flag is polled at every pop/steal
@@ -55,10 +58,7 @@ pub(super) fn run(
     let threads = config.resolved_threads().max(1);
     let deques: Vec<Mutex<VecDeque<Biplex>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    let seen = match config.seen_segments {
-        0 => ConcurrentSeenSet::new((g.num_vertices() as usize) * 2),
-        n => ConcurrentSeenSet::with_geometry(n, SEGMENT_BUCKETS),
-    };
+    let seen = ConcurrentSeenSet::new((g.num_vertices() as usize) * 2);
     let pending = AtomicUsize::new(0);
     let results: Mutex<Vec<Biplex>> = Mutex::new(Vec::new());
 
@@ -128,7 +128,6 @@ fn worker(
     // Per-worker deterministic xorshift state for victim selection.
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ (w as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
     let mut idle = 0u32;
-    let batch_limit = config.result_batch.max(1);
 
     loop {
         // Steal boundary: a cancelled (or deadline-expired) run abandons
@@ -136,8 +135,7 @@ fn worker(
         if rt.should_stop() {
             break;
         }
-        let host = pop_own(&deques[w])
-            .or_else(|| steal(w, deques, config.steal_adaptive, &mut rng, &mut steals));
+        let host = pop_own(&deques[w]).or_else(|| steal(w, deques, &mut rng, &mut steals));
         let Some(host) = host else {
             // ordering: SeqCst — the termination check must observe every
             // fetch_add that happened before the matching deque push it
@@ -182,7 +180,7 @@ fn worker(
             } else if collect {
                 batch.push(solution);
             }
-            if batch.len() >= batch_limit {
+            if batch.len() >= RESULT_BATCH {
                 plock(results).append(&mut batch);
             }
         };
@@ -214,14 +212,13 @@ fn pop_own(deque: &Mutex<VecDeque<Biplex>>) -> Option<Biplex> {
 }
 
 /// Scans the other deques from a random start and steals from the old end
-/// of the first non-empty victim — one item when `adaptive` and the victim
-/// is at most [`STEAL_SHALLOW`] deep, its oldest half otherwise. The first
+/// of the first non-empty victim — one item when the victim is at most
+/// [`STEAL_SHALLOW`] deep, its oldest half otherwise. The first
 /// stolen item is returned for immediate processing, the rest land on the
 /// thief's own deque.
 fn steal(
     w: usize,
     deques: &[Mutex<VecDeque<Biplex>>],
-    adaptive: bool,
     rng: &mut u64,
     steals: &mut u64,
 ) -> Option<Biplex> {
@@ -240,7 +237,7 @@ fn steal(
         if len == 0 {
             continue;
         }
-        let take = if adaptive && len <= STEAL_SHALLOW { 1 } else { len.div_ceil(2) };
+        let take = if len <= STEAL_SHALLOW { 1 } else { len.div_ceil(2) };
         let mut stolen: VecDeque<Biplex> = victim.drain(..take).collect();
         drop(victim);
         *steals += 1;

@@ -14,16 +14,15 @@
 //!   [`enum_almost_sat`] and [`extend_to_maximal`], an asymmetric one the
 //!   asym local enumerator and the asym extension;
 //! * the excluded left vertices, a sorted slice: ℰ(H) for the sequential
-//!   engine, the host-local slice for the parallel engines, empty for runs
+//!   engine, the host-local slice for the parallel engine, empty for runs
 //!   without exclusion;
 //! * the per-link callback, which de-duplicates: the sequential engine
 //!   inserts into its store and schedules the descent, the parallel
-//!   schedulers claim the solution in their seen-set.
+//!   scheduler claims the solution in its seen-set.
 //!
 //! The callers are the sequential DFS in [`crate::traversal`] (iTraversal,
 //! its ablations, bTraversal and the asymmetric enumeration) and the
-//! per-host candidate loop in [`crate::parallel`] that both schedulers
-//! share. Everything the step does is counted into one [`TraversalStats`].
+//! per-host candidate loop of every [`crate::parallel`] worker. Everything the step does is counted into one [`TraversalStats`].
 
 use bigraph::intersect::intersects;
 use bigraph::{BipartiteGraph, Side, VertexRef};

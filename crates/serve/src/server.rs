@@ -14,8 +14,8 @@
 //!
 //! Deliberately boring: every shared structure is a `Mutex` (plus one
 //! `Condvar` for the worker pool). No atomics, no lock-free structures —
-//! the lock-free core lives in `kbiplex::parallel` where it is
-//! model-checked; the service layer optimizes for auditability.
+//! the enumeration engine's atomics live in `kbiplex::parallel` where they
+//! are model-checked; the service layer optimizes for auditability.
 //!
 //! * one *accept* thread turning connections into *connection* threads;
 //! * connection threads parse frames and either answer directly (ping,

@@ -284,6 +284,18 @@ fn garbage_payload_is_rejected_but_the_connection_survives() {
     let text = std::str::from_utf8(&payload).expect("utf-8");
     assert!(text.contains("bad-request"), "unexpected response: {text}");
 
+    // Specs naming the retired scheduler knobs or engine code are
+    // malformed documents, answered the same way on the same connection.
+    for spec in [r#"{"seen_segments":2}"#, r#"{"steal_adaptive":false}"#, r#"{"engine":"global"}"#]
+    {
+        let request = format!(r#"{{"type":"query","id":3,"tenant":"t","spec":{spec}}}"#);
+        write_frame(&mut raw, request.as_bytes()).expect("send query");
+        let payload =
+            read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("error frame").expect("server answered");
+        let text = std::str::from_utf8(&payload).expect("utf-8");
+        assert!(text.contains("bad-request"), "{spec}: unexpected response: {text}");
+    }
+
     // Same connection, now a well-formed request: it must still work.
     write_frame(&mut raw, br#"{"type":"ping","id":9}"#).expect("send ping");
     let payload =

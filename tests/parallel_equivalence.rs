@@ -21,16 +21,15 @@ fn par_run(e: &Enumerator<'_>) -> (Vec<Biplex>, ParallelStats) {
     let mut sink = CollectSink::new();
     let report = e.run(&mut sink).expect("valid facade configuration");
     let EngineStats::Parallel(stats) = report.stats else {
-        panic!("parallel engines report parallel stats");
+        panic!("the parallel engine reports parallel stats");
     };
     (sink.into_sorted(), stats)
 }
 
 /// Property: for every random Chung–Lu graph, every miss budget, every
-/// thread count, both scheduler engines, every relabeling pass and every
-/// seen-set/steal-granularity knob, the parallel engine must return the
-/// *exact* canonical solution set of the sequential `iTraversal`. This is
-/// the scheduler-correctness contract: the work-stealing engine only
+/// thread count and every relabeling pass, the parallel engine must return
+/// the *exact* canonical solution set of the sequential `iTraversal`. This
+/// is the scheduler-correctness contract: the work-stealing engine only
 /// reorders expansions, and the seen-set de-duplication makes the result a
 /// function of the graph alone.
 #[test]
@@ -45,48 +44,23 @@ fn work_stealing_engine_matches_sequential_on_chung_lu_graphs() {
         for k in 1..=2usize {
             let sequential = enumerate_all(&g, k);
             for threads in [1usize, 2, 4, 8] {
-                for engine in [Engine::WorkSteal, Engine::GlobalQueue] {
-                    let (got, stats) =
-                        par_run(&Enumerator::new(&g).k(k).engine(engine).threads(threads));
-                    assert_eq!(
-                        got, sequential,
-                        "seed {seed} k {k} threads {threads} engine {engine:?}"
-                    );
-                    assert_eq!(stats.solutions as usize, sequential.len());
-                }
+                let (got, stats) =
+                    par_run(&Enumerator::new(&g).k(k).engine(Engine::WorkSteal).threads(threads));
+                assert_eq!(got, sequential, "seed {seed} k {k} threads {threads}");
+                assert_eq!(stats.solutions as usize, sequential.len());
             }
-            // The relabeling passes compose with the default engine.
+            // The relabeling passes compose with the parallel engine.
             for order in [VertexOrder::Degree, VertexOrder::Degeneracy] {
                 let (got, _) = par_run(
                     &Enumerator::new(&g).k(k).engine(Engine::WorkSteal).threads(4).order(order),
                 );
                 assert_eq!(got, sequential, "seed {seed} k {k} order {order}");
             }
-            // The seen-set directory geometry and the steal-granularity
-            // policy are pure performance knobs: any combination must leave
-            // the solution set untouched.
-            for seen_segments in [0usize, 1, 2, 8] {
-                for steal_adaptive in [false, true] {
-                    let (got, _) = par_run(
-                        &Enumerator::new(&g)
-                            .k(k)
-                            .engine(Engine::WorkSteal)
-                            .threads(4)
-                            .seen_segments(seen_segments)
-                            .steal_adaptive(steal_adaptive),
-                    );
-                    assert_eq!(
-                        got, sequential,
-                        "seed {seed} k {k} seen-segments {seen_segments} \
-                         steal-adaptive {steal_adaptive}"
-                    );
-                }
-            }
         }
     }
 }
 
-/// Counter parity: both schedulers run the sequential engine's three-step
+/// Counter parity: the scheduler runs the sequential engine's three-step
 /// over the same solutions, each solution expanded exactly once, so the
 /// almost-satisfying graphs formed and the local solutions enumerated must
 /// equal those of sequential `iTraversal-ES` (no exclusion strategy; the
@@ -109,50 +83,28 @@ fn parallel_step_counters_equal_sequential_itraversal_es() {
                 panic!("sequential runs report sequential stats");
             };
             for threads in [1usize, 2, 4] {
-                for engine in [Engine::WorkSteal, Engine::GlobalQueue] {
-                    let (_, stats) =
-                        par_run(&Enumerator::new(&g).k(k).engine(engine).threads(threads));
-                    let ctx = format!("seed {seed} k {k} threads {threads} engine {engine:?}");
-                    assert_eq!(stats.almost_sat_graphs, sequential.almost_sat_graphs, "{ctx}");
-                    assert_eq!(stats.local_solutions, sequential.local_solutions, "{ctx}");
-                }
+                let (_, stats) =
+                    par_run(&Enumerator::new(&g).k(k).engine(Engine::WorkSteal).threads(threads));
+                let ctx = format!("seed {seed} k {k} threads {threads}");
+                assert_eq!(stats.almost_sat_graphs, sequential.almost_sat_graphs, "{ctx}");
+                assert_eq!(stats.local_solutions, sequential.local_solutions, "{ctx}");
             }
         }
     }
 }
 
-/// Full cross of the new knobs with orders and thread counts on one
-/// dedup-heavy graph: the growable seen-set (starting from one segment so
-/// it grows mid-run) and adaptive stealing compose with every
-/// work-stealing configuration, and the global-queue engine agrees across
-/// the same orders.
+/// Full cross of orders and thread counts on one dedup-heavy graph.
 #[test]
-fn seen_and_steal_knobs_compose_with_engines_and_orders() {
+fn orders_compose_with_thread_counts() {
     let g = chung_lu_bipartite(11, 10, 33, 2.2, 42);
     let k = 1;
     let sequential = enumerate_all(&g, k);
     for order in [VertexOrder::Input, VertexOrder::Degree, VertexOrder::Degeneracy] {
         for threads in [2usize, 4] {
-            for (seen_segments, steal_adaptive) in [(1, true), (1, false), (0, true)] {
-                let (got, _) = par_run(
-                    &Enumerator::new(&g)
-                        .k(k)
-                        .engine(Engine::WorkSteal)
-                        .threads(threads)
-                        .order(order)
-                        .seen_segments(seen_segments)
-                        .steal_adaptive(steal_adaptive),
-                );
-                assert_eq!(
-                    got, sequential,
-                    "steal {order} threads {threads} seen-segments {seen_segments} \
-                     steal-adaptive {steal_adaptive}"
-                );
-            }
             let (got, _) = par_run(
-                &Enumerator::new(&g).k(k).engine(Engine::GlobalQueue).threads(threads).order(order),
+                &Enumerator::new(&g).k(k).engine(Engine::WorkSteal).threads(threads).order(order),
             );
-            assert_eq!(got, sequential, "global {order} threads {threads}");
+            assert_eq!(got, sequential, "{order} threads {threads}");
         }
     }
 }
